@@ -13,117 +13,76 @@ from __future__ import annotations
 import math
 
 from repro.difftree.builder import DifftreeForest
+from repro.difftree.canonical import canonical_sql
 from repro.difftree.instantiate import binding_space_size
+from repro.difftree.matching import find_binding_for
+from repro.difftree.signatures import structural_signature
 
 #: Cost added per input query the interface cannot express.
 MISSING_QUERY_PENALTY = 10.0
-#: Cap on the binding enumeration used per coverage check.
-COVERAGE_ENUMERATION_LIMIT = 256
 #: Trees whose binding space exceeds this are counted as not covering their
-#: queries without enumerating: such tangles of choice nodes are terrible
+#: queries without matching: such tangles of choice nodes are terrible
 #: interfaces anyway, and the penalty steers the search away from them cheaply.
 BINDING_SPACE_CAP = 256
 
 
-#: Mapping used to memoize per-tree candidate sets across the many forest
-#: states a search evaluates.  Keys are structural (choice-id-insensitive)
-#: tree signatures, so equal trees rebuilt along different action sequences —
-#: including merges replayed with fresh choice ids — and trees shared by
-#: identity between sibling forest states all share one entry, and the cache
-#: holds no tree objects alive.  Coverage is a deterministic function of
-#: structure alone (binding enumeration never looks at choice ids), which
-#: makes the sharing safe.  Any dict-like mapping works; the cost model
-#: passes a bounded LruDict.
+#: Mapping used to memoize coverage verdicts across the many forest states a
+#: search evaluates: ``(structural signature of the tree, canonical SQL of
+#: the query) -> bool``.  Structural (choice-id-insensitive) signatures let
+#: equal trees rebuilt along different action sequences — including merges
+#: replayed with fresh choice ids — and trees shared by identity between
+#: sibling forest states all share one entry, and the cache holds no tree
+#: objects alive.  Coverage is a deterministic function of structure alone
+#: (matching never looks at choice ids beyond telling them apart), which makes
+#: the sharing safe.  Any mapping with ``get``/``__setitem__`` works; the cost
+#: model passes a bounded LruDict, whose ``get`` counts hits and misses.
 CoverageCache = dict
-
-
-def _tree_candidate_sqls(tree, limit: int, cache: CoverageCache | None) -> frozenset[str] | None:
-    """Canonical SQL of every query the tree can instantiate (None = too many).
-
-    Enumerating the binding space once per tree — instead of once per
-    (tree, target query) pair as ``find_binding_for`` does — turns the
-    coverage check into set membership.  Canonical SQL strings are a precise
-    equality proxy: print-then-parse is the identity, so equal strings imply
-    equal canonical ASTs and vice versa.  The set is cached by the tree's
-    structural signature (bindings never look at choice ids).
-    """
-    from repro.difftree.canonical import canonical_sql
-    from repro.difftree.instantiate import enumerate_bindings, instantiate
-    from repro.difftree.signatures import structural_signature
-
-    key = None
-    if cache is not None:
-        key = structural_signature(tree)
-        if key in cache:
-            return cache[key]
-    if binding_space_size(tree) > BINDING_SPACE_CAP:
-        candidates: frozenset[str] | None = None
-    else:
-        rendered: set[str] = set()
-        for bindings in enumerate_bindings(tree, limit=limit):
-            try:
-                candidate = instantiate(tree, bindings)
-                rendered.add(canonical_sql(candidate))
-            except Exception:  # noqa: BLE001 - skip broken/unrenderable bindings
-                continue
-        candidates = frozenset(rendered)
-    if cache is not None:
-        cache[key] = candidates
-    return candidates
-
-
-def _query_covered(tree, query, limit: int, cache: CoverageCache | None) -> bool:
-    candidates = _tree_candidate_sqls(tree, limit, cache)
-    if candidates is None:
-        return False
-    from repro.difftree.canonical import canonical_sql
-
-    return canonical_sql(query) in candidates
 
 
 def tree_covered_count(
     tree,
     forest: DifftreeForest,
     member_indices: list[int],
-    limit: int = COVERAGE_ENUMERATION_LIMIT,
     cache: CoverageCache | None = None,
 ) -> int:
     """How many of the tree's member queries it can express.
 
     This is the per-tree piece of the coverage computation: the forest-level
     ratio/cost recompose from these counts, so an incremental evaluation only
-    pays for the trees an action changed.
+    pays for the trees an action changed.  Each (tree, query) verdict comes
+    from the structural matcher (:func:`repro.difftree.matching.find_binding_for`)
+    unless the tree's binding space exceeds :data:`BINDING_SPACE_CAP`.
     """
+    signature = structural_signature(tree) if cache is not None else None
+    within_cap = None
     covered = 0
     for query_index in member_indices:
-        if _query_covered(tree, forest.queries[query_index], limit, cache):
-            covered += 1
+        query = forest.queries[query_index]
+        key = (signature, canonical_sql(query))
+        verdict = cache.get(key) if cache is not None else None
+        if verdict is None:
+            if within_cap is None:
+                within_cap = binding_space_size(tree) <= BINDING_SPACE_CAP
+            verdict = within_cap and find_binding_for(tree, query) is not None
+            if cache is not None:
+                cache[key] = verdict
+        covered += verdict
     return covered
 
 
-def forest_covered_count(
-    forest: DifftreeForest,
-    limit: int = COVERAGE_ENUMERATION_LIMIT,
-    cache: CoverageCache | None = None,
-) -> int:
+def forest_covered_count(forest: DifftreeForest, cache: CoverageCache | None = None) -> int:
     """Input queries expressible by the tree that owns them, forest-wide."""
     covered = 0
     for tree_index, member_indices in enumerate(forest.members):
-        covered += tree_covered_count(
-            forest.trees[tree_index], forest, member_indices, limit, cache
-        )
+        covered += tree_covered_count(forest.trees[tree_index], forest, member_indices, cache)
     return covered
 
 
-def coverage_ratio(
-    forest: DifftreeForest,
-    limit: int = COVERAGE_ENUMERATION_LIMIT,
-    cache: CoverageCache | None = None,
-) -> float:
+def coverage_ratio(forest: DifftreeForest, cache: CoverageCache | None = None) -> float:
     """Fraction of the input query log expressible by the forest's trees."""
     if not forest.queries:
         return 1.0
-    return forest_covered_count(forest, limit, cache) / len(forest.queries)
+    return forest_covered_count(forest, cache) / len(forest.queries)
 
 
 def cost_from_covered(covered: int, total: int) -> float:
@@ -140,15 +99,11 @@ def cost_from_covered(covered: int, total: int) -> float:
     return missing * MISSING_QUERY_PENALTY
 
 
-def expressiveness_cost(
-    forest: DifftreeForest,
-    limit: int = COVERAGE_ENUMERATION_LIMIT,
-    cache: CoverageCache | None = None,
-) -> float:
+def expressiveness_cost(forest: DifftreeForest, cache: CoverageCache | None = None) -> float:
     """Penalty for input queries the interface cannot re-express."""
     if not forest.queries:
         return 0.0
-    return cost_from_covered(forest_covered_count(forest, limit, cache), len(forest.queries))
+    return cost_from_covered(forest_covered_count(forest, cache), len(forest.queries))
 
 
 def generality_score(forest: DifftreeForest) -> float:

@@ -136,11 +136,17 @@ class CostModel:
         self.weights = weights or CostWeights()
         self.check_expressiveness = check_expressiveness
         self.nominal_cardinalities = nominal_cardinalities or {}
-        # Per-tree candidate sets (up to BINDING_SPACE_CAP canonical-SQL
-        # strings each), so the bound matters: a long search must not hold
-        # every structure it ever costed.
-        self._coverage_cache = LruDict(1024)
+        # Coverage verdicts per (tree structure, query); bounded so a long
+        # search does not hold every structure it ever costed.
+        self._coverage_cache = LruDict(4096)
         self._filter_attribute_cache = LruDict(2048)
+
+    def cache_info(self) -> dict[str, dict[str, int]]:
+        """Hit/size statistics of the coverage and filter-attribute caches."""
+        return {
+            "coverage": self._coverage_cache.stats(),
+            "filter_attributes": self._filter_attribute_cache.stats(),
+        }
 
     # ------------------------------------------------------------------ #
     # Term evaluation

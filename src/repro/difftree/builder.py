@@ -18,7 +18,7 @@ from typing import Sequence
 from repro.errors import MergeError
 from repro.difftree.canonical import canonicalize, queries_share_source, structural_similarity
 from repro.difftree.diff import merge_nodes
-from repro.difftree.instantiate import covers
+from repro.difftree.matching import covers
 from repro.difftree.nodes import collect_choice_nodes
 from repro.difftree.transformations import normalize_difftree
 from repro.sql.ast_nodes import Select, SqlNode
@@ -82,11 +82,11 @@ class DifftreeForest:
         updated.trees[index] = tree
         return updated
 
-    def covers_all(self, limit: int = 4096) -> bool:
+    def covers_all(self) -> bool:
         """True when every input query is expressible by the tree that owns it."""
         for index, member_indices in enumerate(self.members):
             tree_queries = [self.queries[i] for i in member_indices]
-            if not covers(self.trees[index], tree_queries, limit=limit):
+            if not covers(self.trees[index], tree_queries):
                 return False
         return True
 

@@ -227,42 +227,3 @@ def instantiate_and_execute(tree: SqlNode, catalog, bindings: Binding | None = N
     if not isinstance(query, (Select, SetOperation)):
         raise BindingError("Instantiated Difftree is not an executable SELECT statement")
     return catalog.execute(query)
-
-
-# --------------------------------------------------------------------------- #
-# Coverage: can the Difftree express a given query?
-# --------------------------------------------------------------------------- #
-
-
-def find_binding_for(tree: SqlNode, target: SqlNode, limit: int = 4096) -> dict[str, Any] | None:
-    """Search for a binding under which ``tree`` instantiates to ``target``.
-
-    Queries are compared in canonical form (AND chains flattened to a left-deep
-    shape) so that equivalent parenthesizations count as the same query.
-    Returns the binding, or None if no binding (within ``limit`` combinations)
-    reproduces the target query.
-    """
-    from repro.difftree.canonical import canonical_form
-
-    canonical_target = canonical_form(target)
-    for bindings in enumerate_bindings(tree, limit=limit):
-        try:
-            candidate = instantiate(tree, bindings)
-        except BindingError:
-            continue
-        if candidate == target or canonical_form(candidate) == canonical_target:
-            return bindings
-    return None
-
-
-def covers(tree: SqlNode, queries: Sequence[SqlNode], limit: int = 4096) -> bool:
-    """True when every query in ``queries`` is expressible by ``tree``."""
-    return all(find_binding_for(tree, query, limit=limit) is not None for query in queries)
-
-
-def expressiveness_ratio(tree: SqlNode, queries: Sequence[SqlNode], limit: int = 4096) -> float:
-    """Fraction of ``queries`` the Difftree can express exactly."""
-    if not queries:
-        return 1.0
-    covered = sum(1 for query in queries if find_binding_for(tree, query, limit=limit) is not None)
-    return covered / len(queries)

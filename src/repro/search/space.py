@@ -410,6 +410,7 @@ class SearchSpace:
         info["rows"] = self._rows_cache.stats()
         info["transformations"] = self._transformation_cache.stats()
         info["evaluations"] = {"entries": len(self._cache)}
+        info.update(self.cost_model.cache_info())
         return info
 
     def result(

@@ -13,12 +13,46 @@ algorithm relies on to detect identical subtrees across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, get_args, get_type_hints
 
 
-#: Dataclass field names per node class (fields() re-derives them per call,
-#: which shows up hot in tree-heavy paths like Difftree instantiation).
-_FIELD_NAMES_CACHE: dict[type, tuple[str, ...]] = {}
+class FieldLayout:
+    """The field layout of a node class, derived once per class.
+
+    ``names`` lists every dataclass field in declaration order; ``node_names``
+    the fields whose annotation admits a :class:`SqlNode` (directly, in a
+    list, optional, or ``Any``) and ``scalar_names`` the rest.  Fields
+    annotated with plain scalar types — ``name: str``, ``negated: bool``,
+    ``using: list[str]`` — can never hold a child, so the traversal methods
+    never inspect them.
+    """
+
+    __slots__ = ("names", "node_names", "scalar_names")
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        self.names = tuple(f.name for f in fields(cls))
+        self.node_names = tuple(name for name in self.names if _admits_node(hints.get(name, Any)))
+        self.scalar_names = tuple(name for name in self.names if name not in self.node_names)
+
+
+def _admits_node(hint: Any) -> bool:
+    if hint is Any:
+        return True
+    if isinstance(hint, type):
+        return issubclass(hint, SqlNode)
+    return any(_admits_node(arg) for arg in get_args(hint))
+
+
+_LAYOUTS: dict[type, FieldLayout] = {}
+
+
+def field_layout(cls: type) -> FieldLayout:
+    """The (cached) :class:`FieldLayout` of a node class."""
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        layout = _LAYOUTS[cls] = FieldLayout(cls)
+    return layout
 
 
 class SqlNode:
@@ -38,16 +72,13 @@ class SqlNode:
     """
 
     def child_slots(self) -> Iterator[tuple[str, Any]]:
-        names = _FIELD_NAMES_CACHE.get(type(self))
-        if names is None:
-            names = tuple(f.name for f in fields(self))  # type: ignore[arg-type]
-            _FIELD_NAMES_CACHE[type(self)] = names
-        for name in names:
+        for name in field_layout(type(self)).names:
             yield name, getattr(self, name)
 
     def children(self) -> list["SqlNode"]:
         result: list[SqlNode] = []
-        for _, value in self.child_slots():
+        for name in field_layout(type(self)).node_names:
+            value = getattr(self, name)
             if isinstance(value, SqlNode):
                 result.append(value)
             elif isinstance(value, (list, tuple)):
@@ -55,13 +86,20 @@ class SqlNode:
         return result
 
     def scalar_slots(self) -> dict[str, Any]:
-        """Return the non-node attributes that participate in the node label."""
+        """Return the non-node attributes that participate in the node label.
+
+        A node-bearing field counts as scalar while it holds no node (``None``
+        or an empty list), exactly as if it had been inspected by value.
+        """
+        layout = field_layout(type(self))
         scalars: dict[str, Any] = {}
-        for name, value in self.child_slots():
-            if isinstance(value, SqlNode):
-                continue
-            if isinstance(value, (list, tuple)) and any(isinstance(v, SqlNode) for v in value):
-                continue
+        for name in layout.names:
+            value = getattr(self, name)
+            if name in layout.node_names:
+                if isinstance(value, SqlNode):
+                    continue
+                if isinstance(value, (list, tuple)) and any(isinstance(v, SqlNode) for v in value):
+                    continue
             scalars[name] = value
         return scalars
 
@@ -72,34 +110,43 @@ class SqlNode:
 
     def with_children(self, new_children: Sequence["SqlNode"]) -> "SqlNode":
         """Rebuild this node with ``new_children`` substituted positionally."""
-        queue = list(new_children)
+        position = 0
+        count = len(new_children)
         updates: dict[str, Any] = {}
-        for name, value in self.child_slots():
+        for name in field_layout(type(self)).node_names:
+            value = getattr(self, name)
             if isinstance(value, SqlNode):
-                if not queue:
+                if position >= count:
                     raise ValueError(f"Not enough replacement children for {type(self).__name__}")
-                updates[name] = queue.pop(0)
+                updates[name] = new_children[position]
+                position += 1
             elif isinstance(value, (list, tuple)) and any(isinstance(v, SqlNode) for v in value):
                 new_list = []
                 for item in value:
                     if isinstance(item, SqlNode):
-                        if not queue:
+                        if position >= count:
                             raise ValueError(
                                 f"Not enough replacement children for {type(self).__name__}"
                             )
-                        new_list.append(queue.pop(0))
+                        new_list.append(new_children[position])
+                        position += 1
                     else:
                         new_list.append(item)
                 updates[name] = type(value)(new_list) if isinstance(value, tuple) else new_list
-        if queue:
+        if position < count:
             raise ValueError(f"Too many replacement children for {type(self).__name__}")
         return replace(self, **updates)  # type: ignore[type-var]
 
     def walk(self) -> Iterator["SqlNode"]:
         """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack: list[SqlNode] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children()
+            if children:
+                children.reverse()
+                stack.extend(children)
 
     def find_all(self, node_type: type) -> list["SqlNode"]:
         """Return every descendant (including self) of the given type."""

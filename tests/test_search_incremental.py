@@ -292,5 +292,17 @@ class TestCacheBounds:
         space = make_space(covid_catalog, covid_log[:3], catalog=covid_catalog)
         greedy_search(space)
         info = space.cache_info()
-        for section in ("profiles", "visualizations", "pieces", "rows", "transformations"):
+        for section in (
+            "profiles",
+            "visualizations",
+            "pieces",
+            "rows",
+            "transformations",
+            "coverage",
+            "filter_attributes",
+        ):
             assert section in info
+        # Both directions are counted: a search misses before it hits.
+        for section in ("coverage", "filter_attributes"):
+            assert info[section]["misses"] > 0
+            assert info[section]["hits"] > 0
