@@ -19,7 +19,7 @@ from repro.errors import MergeError
 from repro.difftree.canonical import canonicalize, queries_share_source, structural_similarity
 from repro.difftree.diff import merge_nodes
 from repro.difftree.matching import covers
-from repro.difftree.nodes import collect_choice_nodes
+from repro.difftree.nodes import count_choice_nodes
 from repro.difftree.transformations import normalize_difftree
 from repro.sql.ast_nodes import Select, SqlNode
 from repro.sql.parser import parse_select
@@ -49,7 +49,7 @@ class DifftreeForest:
 
     def choice_count(self) -> int:
         """Total number of choice nodes across all trees."""
-        return sum(len(collect_choice_nodes(tree)) for tree in self.trees)
+        return sum(count_choice_nodes(tree) for tree in self.trees)
 
     def queries_for_tree(self, index: int) -> list[Select]:
         return [self.queries[i] for i in self.members[index]]

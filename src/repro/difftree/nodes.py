@@ -110,14 +110,42 @@ def is_choice_node(node: SqlNode) -> bool:
     return isinstance(node, ChoiceNode)
 
 
+#: Per-node memo attributes (see :mod:`repro.sql.ast_nodes`).
+_HAS_CHOICE_ATTR = "_repro_has_choice"
+_CHOICES_ATTR = "_repro_choices"
+
+
+def has_choice(node: SqlNode) -> bool:
+    """True when the subtree holds any choice node (memoized on the node)."""
+    cached = getattr(node, _HAS_CHOICE_ATTR, None)
+    if cached is None:
+        cached = isinstance(node, ChoiceNode) or any(has_choice(child) for child in node.children())
+        object.__setattr__(node, _HAS_CHOICE_ATTR, cached)
+    return cached
+
+
+def _choice_nodes(tree: SqlNode) -> tuple[ChoiceNode, ...]:
+    """The subtree's choice nodes in pre-order, memoized on choice-bearing nodes."""
+    if not has_choice(tree):
+        return ()
+    cached = getattr(tree, _CHOICES_ATTR, None)
+    if cached is None:
+        found: list[ChoiceNode] = [tree] if isinstance(tree, ChoiceNode) else []
+        for child in tree.children():
+            found.extend(_choice_nodes(child))
+        cached = tuple(found)
+        object.__setattr__(tree, _CHOICES_ATTR, cached)
+    return cached
+
+
 def collect_choice_nodes(tree: SqlNode) -> list[ChoiceNode]:
-    """All choice nodes of a Difftree in pre-order."""
-    return [node for node in tree.walk() if isinstance(node, ChoiceNode)]
+    """All choice nodes of a Difftree in pre-order (a fresh list per call)."""
+    return list(_choice_nodes(tree))
 
 
 def choice_node_by_id(tree: SqlNode, choice_id: str) -> ChoiceNode:
     """Find a choice node by id; raises DifftreeError when absent."""
-    for node in collect_choice_nodes(tree):
+    for node in _choice_nodes(tree):
         if node.choice_id == choice_id:
             return node
     raise DifftreeError(f"No choice node with id {choice_id!r}")
@@ -145,4 +173,4 @@ def count_static_nodes(tree: SqlNode) -> int:
 
 def count_choice_nodes(tree: SqlNode) -> int:
     """Number of choice nodes in the Difftree."""
-    return sum(1 for node in tree.walk() if isinstance(node, ChoiceNode))
+    return len(_choice_nodes(tree))

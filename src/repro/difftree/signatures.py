@@ -24,7 +24,9 @@ turn that sharing into cache hits:
 Both signatures are memoized via ``object.__setattr__`` on the (frozen,
 immutable) AST nodes — a node's structure never changes after construction,
 so the memo can never go stale.  The memo attributes are not dataclass
-fields, so node equality and hashing are unaffected.
+fields, so node equality and hashing are unaffected.  Each signature is a
+:class:`Signature` that carries its hash, so every signature-keyed cache
+hashes a key in O(1) instead of re-hashing the whole nested tree.
 """
 
 from __future__ import annotations
@@ -32,22 +34,60 @@ from __future__ import annotations
 import sys
 from typing import Any, Hashable
 
+from repro.difftree.nodes import ChoiceNode, has_choice
+from repro.errors import SqlError
 from repro.sql.ast_nodes import SqlNode
+from repro.sql.printer import to_sql
 
 #: Memo attribute names stashed on AST nodes (not dataclass fields).
 _FINGERPRINT_ATTR = "_repro_fingerprint"
 _SIGNATURE_ATTR = "_repro_signature"
 _STRUCTURAL_ATTR = "_repro_structural"
 
+
+class Signature:
+    """A tree signature: the key ``(label, child signatures)`` plus its hash.
+
+    CPython does not cache tuple hashes, so a bare nested-tuple key would be
+    re-hashed in full on every dict lookup.  The hash is computed once, from
+    the label and the children's (already computed) hashes.  Equality stays
+    by value — hash first, then key — so two independently built signatures
+    of equal trees are interchangeable as dict keys.
+    """
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self._hash == other._hash and self.key == other.key
+
+    def __reduce__(self):
+        # String hashes are salted per process: rebuild the hash on unpickling.
+        return (Signature, (self.key,))
+
+    def __repr__(self) -> str:
+        return f"Signature({self.key!r})"
+
+
 #: Intern table mapping structural signatures to their canonical instance.
 #: Bounded: interning is a pure space/speed optimization — evicting entries
 #: can never change behaviour because signatures compare by value.
-_INTERN_TABLE: dict[tuple, tuple] = {}
+_INTERN_TABLE: dict[Hashable, Hashable] = {}
 _INTERN_CAPACITY = 8192
 
 
-def intern_signature(signature: tuple) -> tuple:
-    """Return the canonical instance of a structural signature."""
+def intern_signature(signature: Hashable) -> Hashable:
+    """Return the canonical instance of a signature (or any hashable key)."""
     if len(_INTERN_TABLE) >= _INTERN_CAPACITY:
         _INTERN_TABLE.clear()
     return _INTERN_TABLE.setdefault(signature, signature)
@@ -59,15 +99,14 @@ def intern_table_size() -> int:
 
 
 def _compute_fingerprint(node: SqlNode) -> str:
-    from repro.sql.printer import to_sql
-
-    try:
-        return to_sql(node)
-    except Exception:  # noqa: BLE001 - choice nodes are not renderable as SQL
-        parts = []
-        for descendant in node.walk():
-            parts.append(type(descendant).__name__)
-        return "|".join(parts)
+    # Choice nodes are not renderable as SQL: trees holding one go straight
+    # to the type-name walk.
+    if not has_choice(node):
+        try:
+            return to_sql(node)
+        except SqlError:
+            pass
+    return "|".join(type(descendant).__name__ for descendant in node.walk())
 
 
 def tree_fingerprint(node: SqlNode) -> str:
@@ -81,33 +120,31 @@ def tree_fingerprint(node: SqlNode) -> str:
     if cached is not None:
         return cached
     fingerprint = sys.intern(_compute_fingerprint(node))
-    try:
-        object.__setattr__(node, _FINGERPRINT_ATTR, fingerprint)
-    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
-        pass
+    object.__setattr__(node, _FINGERPRINT_ATTR, fingerprint)
     return fingerprint
 
 
-def _compute_signature(node: SqlNode) -> tuple:
-    # node.label() covers the class name and every scalar field — including
-    # choice ids and OPT defaults, which widget bindings depend on — so the
-    # recursive (label, children) shape identifies the tree precisely.
-    return (node.label(), tuple(_signature_uncached(child) for child in node.children()))
-
-
-def _signature_uncached(node: SqlNode) -> tuple:
+def _signature_uncached(node: SqlNode) -> Signature:
     cached = getattr(node, _SIGNATURE_ATTR, None)
     if cached is not None:
         return cached
-    signature = _compute_signature(node)
-    try:
-        object.__setattr__(node, _SIGNATURE_ATTR, signature)
-    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
-        pass
+    # node.label() covers the class name and every scalar field — including
+    # choice ids and OPT defaults, which widget bindings depend on — so the
+    # recursive (label, children) shape identifies the tree precisely.
+    signature = Signature((node.label(), tuple(_signature_uncached(child) for child in node.children())))
+    object.__setattr__(node, _SIGNATURE_ATTR, signature)
     return signature
 
 
-def tree_signature(node: SqlNode) -> tuple:
+def _interned(node: SqlNode, signature: Signature, attr: str) -> Signature:
+    """Intern ``signature`` and memoize the canonical instance on ``node``."""
+    canonical = intern_signature(signature)
+    if canonical is not signature:
+        object.__setattr__(node, attr, canonical)
+    return canonical
+
+
+def tree_signature(node: SqlNode) -> Signature:
     """Precise structural signature of a Difftree, memoized and interned.
 
     Equal signatures imply equal node labels — hence equal choice ids, OPT
@@ -117,12 +154,10 @@ def tree_signature(node: SqlNode) -> tuple:
     use :func:`structural_signature`, which shares entries across replayed
     merges that allocate fresh choice ids.
     """
-    return intern_signature(_signature_uncached(node))
+    return _interned(node, _signature_uncached(node), _SIGNATURE_ATTR)
 
 
 def _structural_label(node: SqlNode) -> tuple:
-    from repro.difftree.nodes import ChoiceNode
-
     label = node.label()
     if not isinstance(node, ChoiceNode):
         return label
@@ -130,22 +165,21 @@ def _structural_label(node: SqlNode) -> tuple:
     return (name, tuple(pair for pair in scalars if pair[0] != "choice_id"))
 
 
-def _structural_uncached(node: SqlNode) -> tuple:
+def _structural_uncached(node: SqlNode) -> Signature:
+    # Without choice ids to erase, the structural signature *is* the precise one.
+    if not has_choice(node):
+        return _signature_uncached(node)
     cached = getattr(node, _STRUCTURAL_ATTR, None)
     if cached is not None:
         return cached
-    signature = (
-        _structural_label(node),
-        tuple(_structural_uncached(child) for child in node.children()),
+    signature = Signature(
+        (_structural_label(node), tuple(_structural_uncached(child) for child in node.children()))
     )
-    try:
-        object.__setattr__(node, _STRUCTURAL_ATTR, signature)
-    except (AttributeError, TypeError):  # pragma: no cover - slotted nodes
-        pass
+    object.__setattr__(node, _STRUCTURAL_ATTR, signature)
     return signature
 
 
-def structural_signature(node: SqlNode) -> tuple:
+def structural_signature(node: SqlNode) -> Signature:
     """Choice-id-*insensitive* signature of a Difftree, memoized and interned.
 
     Identical to :func:`tree_signature` except that choice ids are erased
@@ -157,7 +191,8 @@ def structural_signature(node: SqlNode) -> tuple:
     *positionally* (pre-order) between equal-signature trees, which is what
     profile reuse relies on to remap ids.
     """
-    return intern_signature(_structural_uncached(node))
+    attr = _STRUCTURAL_ATTR if has_choice(node) else _SIGNATURE_ATTR
+    return _interned(node, _structural_uncached(node), attr)
 
 
 def forest_signature(forest) -> tuple:

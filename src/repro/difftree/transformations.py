@@ -14,9 +14,29 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import TransformationError
-from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
+from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes, has_choice
 from repro.sql.ast_nodes import SqlNode
-from repro.sql.visitor import transform
+
+
+def _rewrite_choices(node: SqlNode, fn: Callable[[ChoiceNode], SqlNode | None]) -> SqlNode:
+    """Bottom-up rewrite of the choice nodes of ``node`` with ``fn``.
+
+    :func:`repro.sql.visitor.transform` restricted to choice nodes: every rule
+    below only ever rewrites an ANY or OPT node, so subtrees without one are
+    returned as the original objects without being visited, and ``fn`` is
+    called on choice nodes only (after their children were rewritten).
+    """
+    if not has_choice(node):
+        return node
+    children = node.children()
+    new_children = [_rewrite_choices(child, fn) for child in children]
+    if any(new is not old for new, old in zip(new_children, children)):
+        node = node.with_children(new_children)
+    if isinstance(node, ChoiceNode):
+        replacement = fn(node)
+        if replacement is not None:
+            return replacement
+    return node
 
 
 # --------------------------------------------------------------------------- #
@@ -39,7 +59,7 @@ def factor_common_root(tree: SqlNode, choice_id: str) -> SqlNode:
             return None
         return _factor_any(node)
 
-    return transform(tree, rewrite)
+    return _rewrite_choices(tree, rewrite)
 
 
 def _factor_any(node: AnyNode) -> SqlNode:
@@ -90,7 +110,7 @@ def inline_singleton_any(tree: SqlNode) -> SqlNode:
             return node.alternatives[0]
         return None
 
-    return transform(tree, rewrite)
+    return _rewrite_choices(tree, rewrite)
 
 
 def flatten_nested_any(tree: SqlNode) -> SqlNode:
@@ -109,7 +129,7 @@ def flatten_nested_any(tree: SqlNode) -> SqlNode:
                     flattened.append(candidate)
         return AnyNode(alternatives=flattened, choice_id=node.choice_id)
 
-    return transform(tree, rewrite)
+    return _rewrite_choices(tree, rewrite)
 
 
 def toggle_opt_default(tree: SqlNode, choice_id: str) -> SqlNode:
@@ -120,7 +140,7 @@ def toggle_opt_default(tree: SqlNode, choice_id: str) -> SqlNode:
             return OptNode(child=node.child, default_on=not node.default_on, choice_id=node.choice_id)
         return None
 
-    return transform(tree, rewrite)
+    return _rewrite_choices(tree, rewrite)
 
 
 def normalize_difftree(tree: SqlNode) -> SqlNode:

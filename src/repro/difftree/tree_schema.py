@@ -16,10 +16,11 @@ search for a compatible match.  This module computes the Difftree side:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.difftree.builder import DifftreeForest
 from repro.difftree.instantiate import default_bindings, instantiate
-from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes
+from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes, has_choice
 from repro.sql.analyzer import Analyzer, QueryProfile
 from repro.sql.ast_nodes import (
     BetweenOp,
@@ -161,83 +162,117 @@ def _literal_values(node: ChoiceNode) -> tuple:
     return ()
 
 
-def _find_clause(root: Select, target: ChoiceNode) -> str:
-    """The clause of the nearest enclosing SELECT that contains ``target``."""
-    # Locate the innermost Select that contains the target.
-    owner = root
-    for node in root.walk():
-        if isinstance(node, Select) and any(descendant is target for descendant in node.walk()):
-            owner = node
-    slots: list[tuple[str, list[SqlNode]]] = [
-        ("select", [item for item in owner.select_items]),
-        ("from", [owner.from_clause] if owner.from_clause is not None else []),
-        ("where", [owner.where] if owner.where is not None else []),
-        ("group_by", list(owner.group_by)),
-        ("having", [owner.having] if owner.having is not None else []),
-        ("order_by", list(owner.order_by)),
-        ("cte", list(owner.ctes)),
-    ]
-    for clause, nodes in slots:
-        for node in nodes:
-            if node is target or any(descendant is target for descendant in node.walk()):
-                return clause
-    return "select"
+_COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
+
+#: A comparison context: (attribute, operator, range position).
+_Comparison = tuple[str | None, str | None, str | None]
 
 
-def _comparison_context(tree: SqlNode, target: ChoiceNode) -> tuple[str | None, str | None, str | None]:
-    """(attribute, operator, range position) of the comparison enclosing ``target``."""
-    for node in tree.walk():
-        if isinstance(node, BinaryOp) and node.op in ("=", "<>", "<", "<=", ">", ">="):
-            if node.right is target and isinstance(node.left, ColumnRef):
-                return node.left.name, node.op, None
-            if node.left is target and isinstance(node.right, ColumnRef):
-                return node.right.name, node.op, None
-        if isinstance(node, BetweenOp) and isinstance(node.expr, ColumnRef):
-            if node.low is target:
-                return node.expr.name, "between", "low"
-            if node.high is target:
-                return node.expr.name, "between", "high"
-        if isinstance(node, (InList, InSubquery)) and isinstance(node.expr, ColumnRef):
-            if any(child is target for child in node.children()):
-                return node.expr.name, "in", None
-        if isinstance(node, FunctionCall):
-            if any(arg is target for arg in node.args):
-                # e.g. ANY inside strftime(...) — attribute unknown.
-                return None, node.lower_name, None
-    return None, None, None
+def _clause_slots(select: Select) -> tuple[Sequence[SqlNode], ...]:
+    """The Select's children grouped by clause, one group per :data:`CLAUSES` entry.
+
+    ``CLAUSES`` follows the order of the Select's fields: concatenated, the
+    groups are ``select.children()``, so :func:`choice_contexts` visits nodes
+    in ``walk()`` pre-order, which its first/last rules are defined by.
+    """
+
+    def optional(node: SqlNode | None) -> tuple[SqlNode, ...]:
+        return () if node is None else (node,)
+
+    return (
+        select.select_items,
+        optional(select.from_clause),
+        optional(select.where),
+        select.group_by,
+        optional(select.having),
+        select.order_by,
+        select.ctes,
+    )
 
 
-def _range_partners(
-    tree: SqlNode, contexts: dict[str, tuple[str | None, str | None, str | None]]
-) -> dict[str, tuple[str, str]]:
-    """Pair up low/high choices of the same BETWEEN: choice_id -> (partner, position)."""
-    partners: dict[str, tuple[str, str]] = {}
-    for node in tree.walk():
-        if not isinstance(node, BetweenOp):
-            continue
-        low, high = node.low, node.high
-        if isinstance(low, ChoiceNode) and isinstance(high, ChoiceNode):
-            partners[low.choice_id] = (high.choice_id, "low")
-            partners[high.choice_id] = (low.choice_id, "high")
-    return partners
+def _comparisons_at(node: SqlNode) -> list[tuple[SqlNode, _Comparison]]:
+    """(child, context) for each child of ``node`` a comparison context applies to.
+
+    Listed in the order the per-node checks run, so when one child qualifies
+    twice the first entry is the one that counts.
+    """
+    if isinstance(node, BinaryOp):
+        if node.op not in _COMPARISON_OPS:
+            return []
+        found = []
+        if isinstance(node.left, ColumnRef):
+            found.append((node.right, (node.left.name, node.op, None)))
+        if isinstance(node.right, ColumnRef):
+            found.append((node.left, (node.right.name, node.op, None)))
+        return found
+    if isinstance(node, BetweenOp):
+        if not isinstance(node.expr, ColumnRef):
+            return []
+        name = node.expr.name
+        return [(node.low, (name, "between", "low")), (node.high, (name, "between", "high"))]
+    if isinstance(node, (InList, InSubquery)):
+        if not isinstance(node.expr, ColumnRef):
+            return []
+        return [(child, (node.expr.name, "in", None)) for child in node.children()]
+    if isinstance(node, FunctionCall):
+        # e.g. ANY inside strftime(...) — attribute unknown.
+        return [(arg, (None, node.lower_name, None)) for arg in node.args]
+    return []
 
 
 def choice_contexts(tree: SqlNode) -> list[ChoiceContext]:
-    """Compute the :class:`ChoiceContext` of every choice node in a Difftree."""
+    """Compute the :class:`ChoiceContext` of every choice node in a Difftree.
+
+    One pre-order pass over the choice-bearing part of the tree collects, per
+    choice node (by identity):
+
+    * its clause: the owning SELECT is the last SELECT in pre-order that
+      contains the choice; within it the first clause (in :data:`CLAUSES`
+      order) holding the choice wins; ``"select"`` when the root is not a
+      SELECT;
+    * its comparison context: from the first node in pre-order whose
+      comparison, BETWEEN, IN or function-argument check names the choice;
+    * its BETWEEN range partner: from the last BETWEEN whose low and high are
+      both choices.
+    """
     choices = collect_choice_nodes(tree)
     if not choices:
         return []
-    root = tree if isinstance(tree, Select) else None
-    raw_contexts: dict[str, tuple[str | None, str | None, str | None]] = {}
-    for choice in choices:
-        raw_contexts[choice.choice_id] = _comparison_context(tree, choice)
-    partners = _range_partners(tree, raw_contexts)
+    comparisons: dict[int, _Comparison] = {}
+    partners: dict[str, tuple[str, str]] = {}
+    # id(choice) -> (pre-order number of the owning Select, clause rank).
+    owners: dict[int, tuple[int, int]] = {}
+    track_clauses = isinstance(tree, Select)
+    # (node, pre-order number of its innermost enclosing Select, clause rank).
+    stack: list[tuple[SqlNode, int, int]] = [(tree, -1, 0)]
+    order = 0
+    while stack:
+        node, owner, clause = stack.pop()
+        order += 1
+        if isinstance(node, ChoiceNode) and track_clauses:
+            seen = owners.get(id(node))
+            if seen is None or owner > seen[0] or (owner == seen[0] and clause < seen[1]):
+                owners[id(node)] = (owner, clause)
+        for child, context in _comparisons_at(node):
+            if isinstance(child, ChoiceNode) and id(child) not in comparisons:
+                comparisons[id(child)] = context
+        if isinstance(node, BetweenOp) and isinstance(node.low, ChoiceNode) and isinstance(node.high, ChoiceNode):
+            partners[node.low.choice_id] = (node.high.choice_id, "low")
+            partners[node.high.choice_id] = (node.low.choice_id, "high")
+        if isinstance(node, Select):
+            pushed = [(child, order, rank) for rank, nodes in enumerate(_clause_slots(node)) for child in nodes]
+        else:
+            pushed = [(child, owner, clause) for child in node.children()]
+        stack.extend(entry for entry in reversed(pushed) if has_choice(entry[0]))
 
+    # Keyed by choice id like the contexts themselves: when two choice
+    # objects share an id, the later one in pre-order wins.
+    raw_contexts = {choice.choice_id: comparisons.get(id(choice), (None, None, None)) for choice in choices}
     contexts: list[ChoiceContext] = []
     for choice in choices:
         attribute, operator, position = raw_contexts[choice.choice_id]
         partner_id, partner_position = partners.get(choice.choice_id, (None, None))
-        clause = _find_clause(root, choice) if root is not None else "select"
+        clause = CLAUSES[owners[id(choice)][1]] if track_clauses else "select"
         kind = "opt" if isinstance(choice, OptNode) else "any"
         alternative_kind = _alternative_kind(choice)
         contexts.append(

@@ -8,6 +8,13 @@ that it merges, diffs and transforms.
 
 Node equality is structural (dataclass equality), which the Difftree merge
 algorithm relies on to detect identical subtrees across queries.
+
+Nodes are frozen and never mutated after construction, so structural facts
+about a node (its children, its label, and the Difftree layer's choice-node
+and signature memos) are computed once and stored on the node itself under
+``_repro_*`` attribute names.  Those memos are not dataclass fields — they
+never take part in equality or hashing — and they are dropped when a node is
+pickled or copied.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ def _admits_node(hint: Any) -> bool:
 
 _LAYOUTS: dict[type, FieldLayout] = {}
 
+#: Name prefix of every per-node memo attribute (never a dataclass field).
+MEMO_PREFIX = "_repro_"
+
 
 def field_layout(cls: type) -> FieldLayout:
     """The (cached) :class:`FieldLayout` of a node class."""
@@ -71,18 +81,33 @@ class SqlNode:
       operator symbols and identifier names, but not children).
     """
 
+    #: Memo slots (see the module docstring); instances shadow these class
+    #: defaults via ``object.__setattr__`` the first time they are computed.
+    _repro_children: tuple["SqlNode", ...] | None = None
+    _repro_label: tuple | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Memos are derived data: pickling them would only bloat every AST
+        # sent across a process boundary.
+        return {name: value for name, value in self.__dict__.items() if not name.startswith(MEMO_PREFIX)}
+
     def child_slots(self) -> Iterator[tuple[str, Any]]:
         for name in field_layout(type(self)).names:
             yield name, getattr(self, name)
 
-    def children(self) -> list["SqlNode"]:
-        result: list[SqlNode] = []
-        for name in field_layout(type(self)).node_names:
-            value = getattr(self, name)
-            if isinstance(value, SqlNode):
-                result.append(value)
-            elif isinstance(value, (list, tuple)):
-                result.extend(v for v in value if isinstance(v, SqlNode))
+    def children(self) -> tuple["SqlNode", ...]:
+        """The node-valued children in field order (memoized per node)."""
+        result = self._repro_children
+        if result is None:
+            found: list[SqlNode] = []
+            for name in field_layout(type(self)).node_names:
+                value = getattr(self, name)
+                if isinstance(value, SqlNode):
+                    found.append(value)
+                elif isinstance(value, (list, tuple)):
+                    found.extend(v for v in value if isinstance(v, SqlNode))
+            result = tuple(found)
+            object.__setattr__(self, "_repro_children", result)
         return result
 
     def scalar_slots(self) -> dict[str, Any]:
@@ -104,9 +129,13 @@ class SqlNode:
         return scalars
 
     def label(self) -> tuple:
-        """A hashable structural label: class name plus scalar attributes."""
-        scalars = tuple(sorted((k, _freeze(v)) for k, v in self.scalar_slots().items()))
-        return (type(self).__name__, scalars)
+        """A hashable structural label: class name plus scalar attributes (memoized)."""
+        label = self._repro_label
+        if label is None:
+            scalars = tuple(sorted((k, _freeze(v)) for k, v in self.scalar_slots().items()))
+            label = (type(self).__name__, scalars)
+            object.__setattr__(self, "_repro_label", label)
+        return label
 
     def with_children(self, new_children: Sequence["SqlNode"]) -> "SqlNode":
         """Rebuild this node with ``new_children`` substituted positionally."""
@@ -145,8 +174,7 @@ class SqlNode:
             yield node
             children = node.children()
             if children:
-                children.reverse()
-                stack.extend(children)
+                stack.extend(reversed(children))
 
     def find_all(self, node_type: type) -> list["SqlNode"]:
         """Return every descendant (including self) of the given type."""
