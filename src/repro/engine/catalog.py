@@ -40,7 +40,7 @@ from typing import Any, Iterable, Sequence
 from repro.errors import CatalogError
 from repro.engine.explain import ExplainReport
 from repro.engine.ivm import AppendDelta, VersionLog
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import ExecOptions, check_options
 from repro.engine.query_cache import QueryCache, cache_identity, versioned_key
 from repro.engine.table import QueryResult, Table
 from repro.sql.ast_nodes import Select, SetOperation, SqlNode
@@ -326,19 +326,13 @@ class Catalog:
     def execute(
         self,
         query: str | SqlNode,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        optimize: bool | None = None,
-        deadline: float | None = None,
+        options: ExecOptions | None = None,
     ) -> QueryResult:
         """Execute a SQL string or parsed AST and return its result.
 
         ``options`` carries every execution knob (see :class:`ExecOptions`):
         result-cache participation, the optimizer on/off escape hatch, and
-        the cooperative-cancellation deadline.  The legacy ``use_cache=``/
-        ``optimize=``/``deadline=`` keywords are still accepted with
-        identical behaviour but emit a :class:`DeprecationWarning`.
+        the cooperative-cancellation deadline.
 
         Results are served from the canonical-query cache when an equivalent
         query (same canonical SQL) has already run against the current data
@@ -353,20 +347,13 @@ class Catalog:
         so a concurrent writer swap can neither serve a stale hit nor poison
         the cache with a result computed from newer data.
         """
-        resolved = coerce_options(
-            options,
-            "Catalog.execute",
-            use_cache=use_cache,
-            optimize=optimize,
-            deadline=deadline,
-        )
+        resolved = check_options(options, "Catalog.execute")
         return self.snapshot(freeze=False).execute(query, resolved)
 
     def explain(
         self,
         query: str | SqlNode,
         physical: bool = False,
-        optimize: bool | None = None,
         options: ExecOptions | None = None,
     ) -> "ExplainReport":
         """Return the query's plan as an :class:`ExplainReport`.
@@ -380,16 +367,15 @@ class Catalog:
         ``physical=True`` renders the full compile pipeline: the pre-rewrite
         logical plan, the optimizer's per-rule trace, the optimized logical
         plan and the executable physical plan.  With optimization disabled
-        (``options=ExecOptions(optimize=False)``, or the deprecated
-        ``optimize=False`` keyword) only the verbatim physical lowering is
-        rendered (the pre-optimizer behaviour, still used by
+        (``options=ExecOptions(optimize=False)``) only the verbatim physical
+        lowering is rendered (the pre-optimizer behaviour, still used by
         lowering-specific tests).
         """
         from repro.engine.executor import lower_plan
         from repro.engine.optimizer import optimize_plan
         from repro.engine.planner import Planner
 
-        resolved = coerce_options(options, "Catalog.explain", optimize=optimize)
+        resolved = check_options(options, "Catalog.explain")
         node = self._parse(query) if isinstance(query, str) else query
         if not isinstance(node, (Select, SetOperation)):
             raise CatalogError(f"Only SELECT queries can be planned, got {type(node).__name__}")
@@ -605,11 +591,7 @@ class CatalogSnapshot:
     def execute(
         self,
         query: str | SqlNode,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        optimize: bool | None = None,
-        deadline: float | None = None,
+        options: ExecOptions | None = None,
     ) -> QueryResult:
         """Execute a query against the pinned table versions.
 
@@ -622,13 +604,7 @@ class CatalogSnapshot:
         # catalog types for scans.
         from repro.engine.executor import Executor
 
-        resolved = coerce_options(
-            options,
-            "CatalogSnapshot.execute",
-            use_cache=use_cache,
-            optimize=optimize,
-            deadline=deadline,
-        )
+        resolved = check_options(options, "CatalogSnapshot.execute")
         run_deadline = resolved.resolved_deadline()
 
         node = self._parse(query) if isinstance(query, str) else query

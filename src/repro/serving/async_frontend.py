@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.engine.catalog import Catalog
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import ExecOptions, check_options
 from repro.engine.table import QueryResult
 from repro.errors import AdmissionError
 from repro.pipeline import GenerationResult, PipelineConfig
@@ -145,17 +145,9 @@ class AsyncInterfaceService:
         self,
         handle: AsyncSession,
         query: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline_ms: float | None = None,
+        options: ExecOptions | None = None,
     ) -> QueryResult:
-        resolved = coerce_options(
-            options,
-            "AsyncFrontend.execute",
-            use_cache=use_cache,
-            deadline_ms=deadline_ms,
-        )
+        resolved = check_options(options, "AsyncInterfaceService.execute")
         future = self._service(handle).submit_execute(handle.session_id, query, resolved)
         return await asyncio.wrap_future(future)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.catalog import Catalog
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import ExecOptions, check_options
 from repro.engine.table import QueryResult
 from repro.errors import (
     AdmissionError,
@@ -298,10 +298,7 @@ class InterfaceService:
         self,
         session_id: str,
         query: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline_ms: float | None = None,
+        options: ExecOptions | None = None,
     ) -> "Future[QueryResult]":
         """Run one SQL query on the session's pinned snapshot.
 
@@ -311,21 +308,14 @@ class InterfaceService:
         worker has never seen this fingerprint) and blocks GIL-free on the
         pipe, so concurrent queries execute truly in parallel.
 
-        ``options`` carries the execution knobs (:class:`ExecOptions`); the
-        legacy ``use_cache=``/``deadline_ms=`` keywords still work but emit
-        a :class:`DeprecationWarning`.  A relative ``deadline_ms`` budget
-        (or, absent one, ``ServiceConfig.default_deadline_ms``) is resolved
-        to an absolute deadline at submission; past it the request resolves
-        to a typed error (:class:`~repro.errors.QueryTimeoutError` if
-        cancelled mid-execution,
+        ``options`` carries the execution knobs (:class:`ExecOptions`).  A
+        relative ``deadline_ms`` budget (or, absent one,
+        ``ServiceConfig.default_deadline_ms``) is resolved to an absolute
+        deadline at submission; past it the request resolves to a typed error
+        (:class:`~repro.errors.QueryTimeoutError` if cancelled mid-execution,
         :class:`~repro.errors.DeadlineExceededError` if dropped in a queue).
         """
-        resolved = coerce_options(
-            options,
-            "InterfaceService.submit_execute",
-            use_cache=use_cache,
-            deadline_ms=deadline_ms,
-        )
+        resolved = check_options(options, "InterfaceService.submit_execute")
         if resolved.deadline is None and resolved.deadline_ms is None:
             resolved = resolved.replace(deadline=self._deadline_from(None))
         resolved = resolved.pinned()
@@ -408,17 +398,9 @@ class InterfaceService:
         self,
         session_id: str,
         query: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline_ms: float | None = None,
+        options: ExecOptions | None = None,
     ) -> QueryResult:
-        resolved = coerce_options(
-            options,
-            "InterfaceService.execute",
-            use_cache=use_cache,
-            deadline_ms=deadline_ms,
-        )
+        resolved = check_options(options, "InterfaceService.execute")
         return self.submit_execute(session_id, query, resolved).result()
 
     def submit_generate(

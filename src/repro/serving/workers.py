@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import multiprocessing
 
 from repro.engine.catalog import CatalogSnapshot, DetachedParser
-from repro.engine.options import ExecOptions, coerce_options
+from repro.engine.options import ExecOptions, check_options
 from repro.engine.query_cache import QueryCache
 from repro.errors import DeadlineExceededError, QueryTimeoutError, WorkerError
 
@@ -126,9 +126,6 @@ def _run_task(
     """
     if kind == "execute":
         sql, options = body
-        if not isinstance(options, ExecOptions):
-            # Legacy transport body shape: (sql, use_cache flag).
-            options = ExecOptions(use_cache=bool(options))
         if options.deadline is None and deadline is not None:
             options = options.replace(deadline=deadline)
         return snapshot.execute(sql, options)
@@ -570,25 +567,16 @@ class ProcessExecutionTier:
         self,
         snapshot: CatalogSnapshot,
         sql: str,
-        options: ExecOptions | bool | None = None,
-        *,
-        use_cache: bool | None = None,
-        deadline: float | None = None,
+        options: ExecOptions | None = None,
     ) -> _Future:
         """Run one SQL query against the snapshot, on some worker process.
 
         ``options`` (an :class:`ExecOptions`) crosses the pipe with the task
-        body; the legacy ``use_cache=``/``deadline=`` keywords still work but
-        emit a :class:`DeprecationWarning`.  The deadline additionally rides
-        outside the body so the dispatch loop can drop queued tasks and cap
-        retry backoff without unpickling the options.
+        body.  The deadline additionally rides outside the body so the
+        dispatch loop can drop queued tasks and cap retry backoff without
+        unpickling the options.
         """
-        resolved = coerce_options(
-            options,
-            "ProcessExecutionTier.submit_execute",
-            use_cache=use_cache,
-            deadline=deadline,
-        ).pinned()
+        resolved = check_options(options, "ProcessExecutionTier.submit_execute").pinned()
         return self._submit("execute", snapshot, (sql, resolved), resolved.deadline)
 
     def submit_profile(
@@ -628,7 +616,7 @@ class ProcessExecutionTier:
         self,
         snapshot: CatalogSnapshot,
         sql: str,
-        options: ExecOptions | bool | None = None,
+        options: ExecOptions | None = None,
     ):
         return self.submit_execute(snapshot, sql, options).result()
 

@@ -1,21 +1,23 @@
-"""The unified ExecOptions API: coercion, compat shims, ExplainReport,
-package exports, and the no-deprecated-callers lint.
+"""The unified ExecOptions API: the options check, ExplainReport and
+package exports.
 
-Covers the redesign contract end to end: one frozen options object accepted
-by every execute entry point (catalog, snapshot, session, service, process
-tier), legacy keywords still working behind a DeprecationWarning with
-identical behaviour, ``explain()`` returning structured data whose text is
-byte-identical to the classic rendering, and a source lint asserting no
-in-repo caller still uses the deprecated keyword form.
+Covers the contract end to end: one frozen options object accepted by every
+execute entry point (catalog, snapshot, session, service, async frontend,
+process tier), the old per-call keywords and bare-bool form rejected with a
+``TypeError`` at each of them, and ``explain()`` returning structured data
+whose text is byte-identical to the classic rendering.
 """
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 import re
 import subprocess
 import sys
 import warnings
+from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ import pytest
 import repro
 from repro.engine.catalog import Catalog
 from repro.engine.explain import ExplainReport
-from repro.engine.options import DEFAULT_OPTIONS, ExecOptions, coerce_options
+from repro.engine.options import DEFAULT_OPTIONS, ExecOptions, check_options
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -68,48 +70,119 @@ class TestExecOptions:
 class TestCoercion:
     def test_exec_options_passes_through_unchanged(self):
         options = ExecOptions(use_cache=False)
-        assert coerce_options(options, "here") is options
+        assert check_options(options, "here") is options
 
     def test_none_yields_defaults(self):
-        assert coerce_options(None, "here") is DEFAULT_OPTIONS
+        assert check_options(None, "here") is DEFAULT_OPTIONS
 
-    def test_legacy_keywords_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="use_cache"):
-            options = coerce_options(None, "here", use_cache=False, optimize=None)
-        assert options == ExecOptions(use_cache=False)
+    def test_legacy_keywords_warn_and_fold(self, catalog):
+        """The old keywords are no longer folded into options: they raise."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises(TypeError, match="use_cache"):
+                catalog.execute("SELECT id FROM items", use_cache=False, optimize=None)
 
     def test_bare_bool_is_legacy_positional_use_cache(self):
-        with pytest.warns(DeprecationWarning):
-            options = coerce_options(False, "here")
-        assert options.use_cache is False
+        """A bare bool, the old positional ``use_cache``, is refused by name."""
+        for flag in (False, True):
+            with pytest.raises(TypeError, match="here: options must be an ExecOptions, got bool"):
+                check_options(flag, "here")  # type: ignore[arg-type]
 
-    def test_mixing_options_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="ExecOptions"):
-            coerce_options(ExecOptions(), "here", use_cache=False)
+    def test_mixing_options_and_legacy_raises(self, catalog):
+        with pytest.raises(TypeError, match="use_cache"):
+            catalog.execute("SELECT id FROM items", ExecOptions(), use_cache=False)
 
     def test_non_options_object_raises(self):
-        with pytest.raises(TypeError):
-            coerce_options("nope", "here")  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="here"):
+            check_options("nope", "here")  # type: ignore[arg-type]
+
+
+SQL = "SELECT kind, count(*) AS n FROM items GROUP BY kind"
+
+
+def _service_call(method):
+    def build(catalog, stack):
+        from repro.serving import InterfaceService
+
+        service = stack.enter_context(InterfaceService(catalog))
+        session = service.create_session("opts")
+        return partial(getattr(service, method), session.session_id, SQL)
+
+    return build
+
+
+def _session_call(catalog, stack):
+    from repro.serving import InterfaceService
+
+    service = stack.enter_context(InterfaceService(catalog))
+    return partial(service.create_session("opts").execute, SQL)
+
+
+def _async_call(catalog, stack):
+    from repro.serving import AsyncInterfaceService
+
+    frontend = AsyncInterfaceService(catalog)
+    stack.callback(frontend.close_sync)
+
+    def call(options, **extra):
+        async def run():
+            handle = await frontend.open_session("opts")
+            return await frontend.execute(handle, SQL, options, **extra)
+
+        return asyncio.run(run())
+
+    return call
+
+
+def _tier_call(catalog, stack):
+    from repro.serving import ProcessExecutionTier
+
+    tier = stack.enter_context(ProcessExecutionTier(processes=1))
+    return partial(tier.submit_execute, catalog.snapshot(), SQL)
+
+
+#: Every public entry point that takes execution options, as a builder
+#: ``(catalog, exit_stack) -> call(options, **extra)``.
+ENTRY_POINTS = {
+    "Catalog.execute": lambda catalog, stack: partial(catalog.execute, SQL),
+    "Catalog.explain": lambda catalog, stack: partial(catalog.explain, SQL, True),
+    "CatalogSnapshot.execute": lambda catalog, stack: partial(catalog.snapshot().execute, SQL),
+    "Session.execute": _session_call,
+    "InterfaceService.submit_execute": _service_call("submit_execute"),
+    "InterfaceService.execute": _service_call("execute"),
+    "AsyncInterfaceService.execute": _async_call,
+    "ProcessExecutionTier.submit_execute": _tier_call,
+}
 
 
 class TestEntryPoints:
-    SQL = "SELECT kind, count(*) AS n FROM items GROUP BY kind"
-
     def test_catalog_execute_accepts_options(self, catalog):
-        result = catalog.execute(self.SQL, ExecOptions(use_cache=False))
+        result = catalog.execute(SQL, ExecOptions(use_cache=False))
         assert result.row_count == 2
 
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_legacy_forms_are_rejected(self, catalog, entry):
+        """A bare bool or an old per-call keyword raises instead of running."""
+        with ExitStack() as stack:
+            call = ENTRY_POINTS[entry](catalog, stack)
+            with pytest.raises(TypeError, match=re.escape(entry)):
+                call(False)
+            with pytest.raises(TypeError, match="use_cache"):
+                call(None, use_cache=False)
+
     def test_legacy_kwargs_warn_but_behave_identically(self, catalog):
+        """The legacy keyword call raises where its ExecOptions twin runs."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            modern = catalog.execute(self.SQL, ExecOptions(use_cache=False))
-        with pytest.warns(DeprecationWarning):
-            legacy = catalog.execute(self.SQL, use_cache=False)
-        assert modern.rows == legacy.rows
+            modern = catalog.execute(SQL, ExecOptions(use_cache=False))
+            with pytest.raises(TypeError, match="use_cache"):
+                catalog.execute(SQL, use_cache=False)
+            again = catalog.execute(SQL, ExecOptions(use_cache=False))
+        assert modern.rows == again.rows
 
     def test_snapshot_execute_accepts_options(self, catalog):
         snapshot = catalog.snapshot()
-        result = snapshot.execute(self.SQL, ExecOptions(use_cache=False))
+        result = snapshot.execute(SQL, ExecOptions(use_cache=False))
         assert result.row_count == 2
 
     def test_session_and_service_thread_tier(self, catalog):
@@ -118,7 +191,7 @@ class TestEntryPoints:
         with InterfaceService(catalog) as service:
             session = service.create_session("opts")
             result = service.execute(
-                session.session_id, self.SQL, ExecOptions(use_cache=False)
+                session.session_id, SQL, ExecOptions(use_cache=False)
             )
             assert result.row_count == 2
 
@@ -129,13 +202,13 @@ class TestEntryPoints:
         with InterfaceService(catalog, config) as service:
             session = service.create_session("opts-proc")
             result = service.execute(
-                session.session_id, self.SQL, ExecOptions(use_cache=False)
+                session.session_id, SQL, ExecOptions(use_cache=False)
             )
             assert sorted(result.rows) == [("a", 1000), ("b", 1000)]
 
     def test_unoptimized_run_matches(self, catalog):
-        on = catalog.execute(self.SQL, ExecOptions(use_cache=False))
-        off = catalog.execute(self.SQL, ExecOptions(use_cache=False, optimize=False))
+        on = catalog.execute(SQL, ExecOptions(use_cache=False))
+        off = catalog.execute(SQL, ExecOptions(use_cache=False, optimize=False))
         assert sorted(on.rows) == sorted(off.rows)
 
 
@@ -184,28 +257,3 @@ class TestPackageSurface:
             env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
-
-
-#: Call sites of the execute/explain family passing legacy keywords.  The
-#: options shim itself and ``def`` lines are exempt; ExecOptions constructor
-#: keywords don't match because the call must be a method on an object.
-_DEPRECATED_CALL = re.compile(
-    r"[\w\)\]]\.(execute|submit_execute|explain)\([^)\n]*"
-    r"(use_cache=|optimize=|deadline=|deadline_ms=)"
-)
-
-
-class TestNoDeprecatedCallers:
-    def test_src_and_benchmarks_use_exec_options(self):
-        offenders: list[str] = []
-        for root in (SRC_DIR / "repro", REPO_ROOT / "benchmarks"):
-            for path in sorted(root.rglob("*.py")):
-                for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                    if "ExecOptions(" in line:
-                        continue
-                    if _DEPRECATED_CALL.search(line):
-                        offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: {line.strip()}")
-        assert not offenders, (
-            "deprecated execute/explain keyword call sites (pass ExecOptions instead):\n"
-            + "\n".join(offenders)
-        )
