@@ -30,6 +30,7 @@ from repro.cost.widget_costs import (
     total_widget_cost,
     widget_cost,
 )
+from repro.difftree.signatures import LruDict
 from repro.interface.interface import Interface
 from repro.interface.visualizations import Channel, ChartType
 from repro.sql.ast_nodes import Select
@@ -45,6 +46,9 @@ NOISY_COLOR_COST = 0.5
 NOISY_COLOR_CARDINALITY = 10
 #: Extra cost for every chart whose spec duplicates an earlier chart's.
 DUPLICATE_CHART_COST = 0.8
+#: Bounds on the coverage-verdict and filter-attribute caches (LRU entries).
+COVERAGE_CACHE_CAPACITY = 4096
+FILTER_ATTRIBUTE_CACHE_CAPACITY = 2048
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,8 @@ class CostModel:
         weights: CostWeights | None = None,
         check_expressiveness: bool = True,
         nominal_cardinalities: dict[str, int] | None = None,
+        coverage_cache: LruDict | None = None,
+        filter_attribute_cache: LruDict | None = None,
     ) -> None:
         """
         Args:
@@ -130,23 +136,35 @@ class CostModel:
             nominal_cardinalities: optional attribute → distinct-count map so
                 the visualization term can price noisy color encodings (built
                 from the catalog by the pipeline).
+            coverage_cache, filter_attribute_cache: optional caches for
+                coverage verdicts and filter-attribute sets, so they can
+                outlive this model (see :meth:`with_caches`); fresh ones when
+                omitted.
         """
-        from repro.difftree.signatures import LruDict
-
         self.weights = weights or CostWeights()
         self.check_expressiveness = check_expressiveness
         self.nominal_cardinalities = nominal_cardinalities or {}
         # Coverage verdicts per (tree structure, query); bounded so a long
-        # search does not hold every structure it ever costed.
-        self._coverage_cache = LruDict(4096)
-        self._filter_attribute_cache = LruDict(2048)
+        # search does not hold every structure it ever costed.  Both caches
+        # depend on structure alone, never on weights or cardinalities.
+        self._coverage_cache = (
+            coverage_cache if coverage_cache is not None else LruDict(COVERAGE_CACHE_CAPACITY)
+        )
+        self._filter_attribute_cache = (
+            filter_attribute_cache
+            if filter_attribute_cache is not None
+            else LruDict(FILTER_ATTRIBUTE_CACHE_CAPACITY)
+        )
 
-    def cache_info(self) -> dict[str, dict[str, int]]:
-        """Hit/size statistics of the coverage and filter-attribute caches."""
-        return {
-            "coverage": self._coverage_cache.stats(),
-            "filter_attributes": self._filter_attribute_cache.stats(),
-        }
+    def with_caches(self, coverage_cache: LruDict, filter_attribute_cache: LruDict) -> "CostModel":
+        """This model's pricing over the given coverage and filter-attribute caches."""
+        return CostModel(
+            weights=self.weights,
+            check_expressiveness=self.check_expressiveness,
+            nominal_cardinalities=self.nominal_cardinalities,
+            coverage_cache=coverage_cache,
+            filter_attribute_cache=filter_attribute_cache,
+        )
 
     # ------------------------------------------------------------------ #
     # Term evaluation

@@ -102,17 +102,26 @@ class DifftreeForest:
         return forest_signature(self)
 
 
-def parse_query_log(queries: Sequence[str | SqlNode]) -> list[Select]:
-    """Parse and canonicalize a query log given as SQL strings or ASTs."""
+def parse_query_log(queries: Sequence[str | SqlNode], parsed_cache=None) -> list[Select]:
+    """Parse and canonicalize a query log given as SQL strings or ASTs.
+
+    ``parsed_cache`` (optional, a mapping with ``get``/``put`` such as an
+    ``LruDict``) memoizes the canonicalized AST of each SQL string.  ASTs are
+    immutable, so one object can serve every log the string appears in.
+    """
     parsed: list[Select] = []
     for query in queries:
         if isinstance(query, str):
-            ast = parse_select(query)
+            ast = parsed_cache.get(query) if parsed_cache is not None else None
+            if ast is None:
+                ast = canonicalize(parse_select(query))
+                if parsed_cache is not None:
+                    parsed_cache.put(query, ast)
         elif isinstance(query, Select):
-            ast = query
+            ast = canonicalize(query)
         else:
             raise MergeError(f"Query log entries must be SQL strings or SELECT ASTs, got {type(query).__name__}")
-        parsed.append(canonicalize(ast))
+        parsed.append(ast)
     return parsed
 
 
@@ -120,6 +129,7 @@ def build_forest(
     queries: Sequence[str | SqlNode],
     strategy: str = "clustered",
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
+    parsed_cache=None,
 ) -> DifftreeForest:
     """Build the initial Difftree forest for a query log.
 
@@ -128,8 +138,10 @@ def build_forest(
         ``merged`` — a single Difftree covering the whole log (Fig. 4).
         ``clustered`` — greedy similarity clustering, then one Difftree per
         cluster (the default starting state for the search).
+
+    ``parsed_cache`` is handed to :func:`parse_query_log`.
     """
-    parsed = parse_query_log(queries)
+    parsed = parse_query_log(queries, parsed_cache)
     if not parsed:
         raise MergeError("Query log is empty")
 

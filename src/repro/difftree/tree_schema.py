@@ -320,13 +320,15 @@ class TreeProfileCache:
     """Signature-keyed, LRU-bounded cache of per-tree profiles.
 
     A tree's profile is a deterministic function of the tree structure and
-    the fixed catalog schemas, so it can be shared across every forest state
-    a search visits.  Lookups take an identity fast path first (neighbouring
-    forest states share unchanged trees by object identity), then fall back
-    to the *structural* (choice-id-insensitive) signature, which also catches
-    equal trees rebuilt along different action sequences with fresh choice
-    ids — their choice nodes correspond positionally (pre-order), so the
-    cached profile's choice contexts are remapped to the new tree's ids.
+    the table schemas, so it can be shared across every forest state a
+    search visits, and across searches over equal schemas (its owner clears
+    it when they change).  Lookups take an identity fast path first
+    (neighbouring forest states share unchanged trees by object identity),
+    then fall back to the *structural* (choice-id-insensitive) signature,
+    which also catches equal trees rebuilt along different action sequences
+    with fresh choice ids — their choice nodes correspond positionally
+    (pre-order), so the cached profile's choice contexts are remapped to the
+    new tree's ids.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -368,6 +370,10 @@ class TreeProfileCache:
         if len(self._by_id) >= self._id_capacity:
             self._by_id.clear()
         self._by_id[id(tree)] = (tree, profile)
+
+    def clear(self) -> None:
+        self._by_signature.clear()
+        self._by_id.clear()
 
     def stats(self) -> dict[str, int]:
         return self._by_signature.stats()

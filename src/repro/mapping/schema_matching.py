@@ -77,6 +77,12 @@ class MappingCaches:
     visualizations: LruDict = field(default_factory=lambda: LruDict(1024))
     pieces: LruDict = field(default_factory=lambda: LruDict(2048))
 
+    def clear(self) -> None:
+        """Drop every entry (the caches were built for other schemas or policy)."""
+        self.profiles.clear()
+        self.visualizations.clear()
+        self.pieces.clear()
+
     def stats(self) -> dict[str, dict[str, int]]:
         return {
             "profiles": self.profiles.stats(),

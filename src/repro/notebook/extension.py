@@ -19,6 +19,7 @@ from repro.interface.state import InterfaceState
 from repro.notebook.session import NotebookSession
 from repro.notebook.versioning import InterfaceVersion, VersionHistory
 from repro.pipeline import GenerationResult, PipelineConfig, generate_interface
+from repro.search.space import SearchCaches
 
 
 @dataclass
@@ -28,6 +29,9 @@ class Pi2Extension:
     session: NotebookSession
     config: PipelineConfig = field(default_factory=PipelineConfig)
     history: VersionHistory = field(default_factory=VersionHistory)
+    #: Per-tree search caches kept across Generate clicks: ticking one more
+    #: cell re-costs only the trees the new query changes.
+    caches: SearchCaches = field(default_factory=SearchCaches, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -50,7 +54,7 @@ class Pi2Extension:
             )
         effective_config = config or self.config
         result: GenerationResult = generate_interface(
-            queries, self.session.catalog, effective_config
+            queries, self.session.catalog, effective_config, caches=self.caches
         )
         return self.history.add(
             result, query_snapshot=queries, cell_snapshot=self.session.snapshot()

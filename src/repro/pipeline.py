@@ -34,7 +34,7 @@ from repro.search.beam import beam_search
 from repro.search.exhaustive import exhaustive_search
 from repro.search.greedy import greedy_search
 from repro.search.mcts import mcts_search
-from repro.search.space import SearchSpace, SearchStats
+from repro.search.space import SearchCaches, SearchSpace, SearchStats
 
 
 @dataclass
@@ -108,6 +108,7 @@ def generate_interface(
     catalog: Catalog,
     config: PipelineConfig | None = None,
     profile_executor=None,
+    caches: SearchCaches | None = None,
 ) -> GenerationResult:
     """Generate an interactive visualization interface from a SQL query log.
 
@@ -123,6 +124,11 @@ def generate_interface(
         profile_executor: optional ``concurrent.futures`` executor the search
             fans per-tree data profiling out on (must not be the pool this
             call itself runs on — see :class:`~repro.search.space.SearchSpace`).
+        caches: optional :class:`~repro.search.space.SearchCaches` bundle kept
+            across calls, so a regeneration re-costs only what changed since
+            the last one (the notebook extension keeps one per notebook).  The
+            search space makes a fresh bundle when none is given.  A bundle
+            must not be shared by concurrent calls.
     """
     if not queries:
         raise ReproError("generate_interface requires at least one query")
@@ -145,6 +151,7 @@ def generate_interface(
         initial_strategy=config.initial_strategy,
         catalog=catalog if config.profile_data else None,
         profile_executor=profile_executor if config.profile_data else None,
+        caches=caches,
     )
 
     if config.method == "mcts":

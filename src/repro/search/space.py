@@ -22,18 +22,36 @@ cached by interned per-tree signature (:mod:`repro.difftree.signatures`) and
 reused for unchanged trees.  Only the genuinely tree-coupled steps (layout,
 the duplicate-chart penalty, id renumbering) run globally per candidate, which
 makes one evaluation O(changed trees) instead of O(forest).
+
+The per-tree caches live in a :class:`SearchCaches` bundle that can outlive
+one search: the notebook extension hands the same bundle to every Generate
+click, so a log that grows by one query re-costs only what the new query
+changed.  Within one search, :meth:`SearchSpace.actions` and
+:meth:`SearchSpace.apply` are memoized by exact forest identity, so the
+transitions MCTS rollouts replay are not re-derived.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.cost.model import CostBreakdown, CostModel
+from repro.cost.model import (
+    COVERAGE_CACHE_CAPACITY,
+    FILTER_ATTRIBUTE_CACHE_CAPACITY,
+    CostBreakdown,
+    CostModel,
+)
 from repro.difftree.builder import DifftreeForest, build_forest
 from repro.difftree.canonical import queries_share_source, structural_similarity
-from repro.difftree.signatures import LruDict, structural_signature, tree_signature
+from repro.difftree.signatures import (
+    LruDict,
+    precise_forest_signature,
+    structural_signature,
+    tree_signature,
+)
 from repro.difftree.transformations import applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
@@ -44,6 +62,74 @@ from repro.sql.schema import TableSchema
 TRANSFORMATION_CACHE_CAPACITY = 512
 #: Bound on the per-tree data-profile (row count) cache.
 ROWS_CACHE_CAPACITY = 4096
+#: Bound on the parsed-query memo (SQL text -> canonicalized AST).
+PARSED_CACHE_CAPACITY = 512
+#: Bound on the query-pair memo (similarity and shared source per pair).
+PAIR_CACHE_CAPACITY = 8192
+#: Bounds on the per-search transition memos of actions() and apply().
+ACTIONS_MEMO_CAPACITY = 1024
+APPLY_MEMO_CAPACITY = 4096
+
+
+class SearchCaches:
+    """The per-tree caches of a search, kept across generations.
+
+    Every entry is keyed by structure (tree signatures, SQL text, query
+    pairs), never by object identity or position in one log, so a bundle can
+    serve any number of searches: successive generations on one notebook
+    re-cost only the trees the previous generation never saw.  Every cache is
+    a bounded LRU.
+
+    Some entries depend on more than structure.  The mapping caches
+    (profiles, chart templates, interaction pieces) were built against one
+    set of table schemas and one mapping configuration; :meth:`bind`, which
+    every :class:`SearchSpace` calls, records ``(schemas, screen, policy)``
+    and drops them when that changes.  Row counts carry the catalog identity
+    and data version in their keys, so they never go stale.  Coverage
+    verdicts, filter attributes, transformation lists, parsed queries and
+    pair similarities are functions of structure alone and always stay.
+
+    A bundle is not thread-safe: one owner (a notebook extension) uses it
+    from one thread at a time.
+    """
+
+    def __init__(self) -> None:
+        self.mapping = MappingCaches()
+        self.rows = LruDict(ROWS_CACHE_CAPACITY)
+        self.transformations = LruDict(TRANSFORMATION_CACHE_CAPACITY)
+        self.coverage = LruDict(COVERAGE_CACHE_CAPACITY)
+        self.filter_attributes = LruDict(FILTER_ATTRIBUTE_CACHE_CAPACITY)
+        self.parsed = LruDict(PARSED_CACHE_CAPACITY)
+        self.pairs = LruDict(PAIR_CACHE_CAPACITY)
+        self._bound_to: tuple | None = None
+
+    def bind(self, table_schemas: dict[str, TableSchema], mapping_config: MappingConfig) -> None:
+        """Drop the mapping caches unless they were built for these inputs."""
+        # Schemas are inferred from the data (an INTEGER column's role turns
+        # from ordinal to quantitative past 12 distinct values), so they are
+        # compared by value, not by a catalog's schema counter.  The policy is
+        # a mutable dataclass: keep a copy, so a policy edited in place between
+        # calls compares unequal to the recorded one.
+        key = (
+            dict(table_schemas),
+            mapping_config.screen,
+            copy.copy(mapping_config.policy),
+        )
+        if key != self._bound_to:
+            self.mapping.clear()
+            self._bound_to = key
+
+    def stats(self) -> dict[str, dict[str, int]]:
+        """Lifetime hit/size statistics of every cache in the bundle."""
+        return {
+            **self.mapping.stats(),
+            "rows": self.rows.stats(),
+            "transformations": self.transformations.stats(),
+            "coverage": self.coverage.stats(),
+            "filter_attributes": self.filter_attributes.stats(),
+            "parsed": self.parsed.stats(),
+            "pairs": self.pairs.stats(),
+        }
 
 
 @dataclass(frozen=True)
@@ -52,8 +138,10 @@ class Action:
 
     ``touched`` is the action's *delta*: the indices (in the **result**
     forest) of the trees the action created.  Every other tree of the result
-    is shared by object identity with the source forest, which is what the
-    per-tree evaluation caches exploit.  Strategies thread the delta through
+    is shared by object identity with the forest the action was applied to
+    (for a transition replayed from the :meth:`SearchSpace.apply` memo, an
+    exactly equal forest), which is what the per-tree evaluation caches
+    exploit.  Strategies thread the delta through
     :meth:`SearchSpace.evaluate` so the incremental-reuse accounting in
     :class:`SearchStats` reflects what each strategy actually re-evaluated.
     """
@@ -97,7 +185,10 @@ class SearchStats:
     touching the catalog at all.  ``tree_evals_reused`` / ``tree_evals_computed``
     account per-tree incremental reuse across candidate evaluations,
     observed from the per-tree profile cache rather than inferred from
-    action deltas.
+    action deltas.  Every counter is this search's own: the caches may be
+    kept across searches (see :class:`SearchCaches`), so the reuse counters
+    are taken as differences around each evaluation, and a tree profiled by
+    an earlier search counts as reused.
     """
 
     evaluations: int = 0
@@ -139,6 +230,7 @@ class SearchSpace:
         initial_strategy: str = "per_query",
         catalog=None,
         profile_executor=None,
+        caches: SearchCaches | None = None,
     ) -> None:
         if not queries:
             raise SearchError("Cannot search over an empty query log")
@@ -162,32 +254,50 @@ class SearchSpace:
         #: separate profile pool.
         self.profile_executor = profile_executor
         self.mapping_config = mapping_config or MappingConfig()
-        self.cost_model = cost_model or CostModel()
-        self.initial_state = build_forest(queries, strategy=initial_strategy)
-        self._cache: dict[tuple, Evaluation] = {}
-        #: Per-tree mapping caches (profiles, chart templates, widget pieces),
-        #: keyed by interned tree signature — see MappingCaches.
-        self.mapping_caches = MappingCaches()
-        #: Per-tree default-instantiation row counts, keyed by
-        #: (tree signature, catalog data version) so catalog mutations
-        #: invalidate entries implicitly.
-        self._rows_cache = LruDict(ROWS_CACHE_CAPACITY)
-        #: Applicable transformations per tree, keyed by tree signature and
-        #: LRU-bounded (the transformations close over choice ids only, so
-        #: they are reusable across equal-signature trees).
-        self._transformation_cache = LruDict(TRANSFORMATION_CACHE_CAPACITY)
-        self._pair_similarity: dict[tuple[int, int], float] = {}
+        #: The per-tree caches (see SearchCaches); a fresh bundle unless the
+        #: caller keeps one across searches.
+        self.caches = caches if caches is not None else SearchCaches()
+        self.caches.bind(table_schemas, self.mapping_config)
+        self.cost_model = (cost_model or CostModel()).with_caches(
+            self.caches.coverage, self.caches.filter_attributes
+        )
+        self.mapping_caches = self.caches.mapping
+        self._transformation_cache = self.caches.transformations
         self.stats = SearchStats()
+        # Counters as they stand at search start: cache_info() reports this
+        # search's share, not the bundle's lifetime totals.
+        self._stats_at_start = self.caches.stats()
+        self.initial_state = build_forest(
+            queries, strategy=initial_strategy, parsed_cache=self.caches.parsed
+        )
+        #: Forest-level evaluation memo.  Per search: its key does not name
+        #: the query log.
+        self._cache: dict[tuple, Evaluation] = {}
+        #: Transition memos, keyed by exact forest identity (MCTS rollouts
+        #: replay the same action from the same state often).
+        self._actions_memo = LruDict(ACTIONS_MEMO_CAPACITY)
+        self._apply_memo = LruDict(APPLY_MEMO_CAPACITY)
+        self._pair_similarity: dict[tuple[int, int], float] = {}
+        self._pair_shares_source: dict[tuple[int, int], bool] = {}
         self.min_merge_similarity = 0.3
         self._precompute_similarities()
 
     def _precompute_similarities(self) -> None:
+        """Similarity and shared source of every query pair, via the pair memo."""
         queries = self.initial_state.queries
-        self._pair_shares_source: dict[tuple[int, int], bool] = {}
+        signatures = [tree_signature(query) for query in queries]
+        pairs = self.caches.pairs
         for i in range(len(queries)):
             for j in range(i + 1, len(queries)):
-                self._pair_similarity[(i, j)] = structural_similarity(queries[i], queries[j])
-                self._pair_shares_source[(i, j)] = queries_share_source(queries[i], queries[j])
+                key = (signatures[i], signatures[j])
+                facts = pairs.get(key)
+                if facts is None:
+                    facts = (
+                        structural_similarity(queries[i], queries[j]),
+                        queries_share_source(queries[i], queries[j]),
+                    )
+                    pairs.put(key, facts)
+                self._pair_similarity[(i, j)], self._pair_shares_source[(i, j)] = facts
 
     def _members_similar(self, members_a: list[int], members_b: list[int]) -> bool:
         """True when some query pair across the two trees is similar enough to merge."""
@@ -203,7 +313,19 @@ class SearchSpace:
     # ------------------------------------------------------------------ #
 
     def actions(self, forest: DifftreeForest) -> list[Action]:
-        """All actions applicable in the given state."""
+        """All actions applicable in the given state (a fresh list per call).
+
+        Memoized by exact forest identity; callers may shuffle and pop the
+        returned list.
+        """
+        key = precise_forest_signature(forest)
+        actions = self._actions_memo.get(key)
+        if actions is None:
+            actions = tuple(self._enumerate_actions(forest))
+            self._actions_memo.put(key, actions)
+        return list(actions)
+
+    def _enumerate_actions(self, forest: DifftreeForest) -> list[Action]:
         actions: list[Action] = []
         for first in range(forest.tree_count):
             for second in range(first + 1, forest.tree_count):
@@ -238,7 +360,20 @@ class SearchSpace:
         return actions
 
     def apply(self, forest: DifftreeForest, action: Action) -> DifftreeForest:
-        return action.apply(forest)
+        """The state ``action`` leads to from ``forest``.
+
+        Memoized by (exact forest identity, action description): a replayed
+        transition returns the forest built the first time instead of
+        re-merging, allocating fresh choice ids and re-signing trees.  The
+        description names the action exactly within one state (the merged
+        slots, or the rule and choice id of a transformation).
+        """
+        key = (precise_forest_signature(forest), action.description)
+        result = self._apply_memo.get(key)
+        if result is None:
+            result = action.apply(forest)
+            self._apply_memo.put(key, result)
+        return result
 
     def _transformations_for(self, tree):
         """Applicable transformations of one tree, cached by tree signature.
@@ -311,17 +446,20 @@ class SearchSpace:
     def _profile_data(self, forest: DifftreeForest) -> tuple[int, ...] | None:
         """Row counts of each tree's default instantiation, incrementally.
 
-        Per-tree results are cached by (tree signature, catalog data version),
-        so a candidate evaluation only executes the trees its action changed —
-        and those usually hit the catalog's canonical-query result cache in
-        turn.  Execution/hit counts are attributed from the catalog's cache
-        statistics so ``SearchStats`` separates real executions from result-
-        cache hits.
+        Per-tree results are cached by (tree signature, catalog id, catalog
+        data version), so a candidate evaluation only executes the trees its
+        action changed — and those usually hit the catalog's canonical-query
+        result cache in turn.  Execution/hit counts are attributed from the
+        catalog's cache statistics so ``SearchStats`` separates real
+        executions from result-cache hits.
         """
         if self.catalog is None:
             return None
         from repro.difftree.instantiate import instantiate_and_execute
 
+        # Data versions count mutations per table name, so two catalogs can
+        # share one: the catalog identity is part of the key.
+        catalog_id = self.catalog.catalog_id
         version = self.catalog.data_version()
         cache_stats = self.catalog.query_cache.stats
         row_counts: list[int | None] = [None] * forest.tree_count
@@ -329,8 +467,8 @@ class SearchSpace:
         for index, tree in enumerate(forest.trees):
             # Default instantiations never depend on choice ids, so row
             # counts are shared across replayed merges too.
-            key = (structural_signature(tree), version)
-            cached = self._rows_cache.get(key)
+            key = (structural_signature(tree), catalog_id, version)
+            cached = self.caches.rows.get(key)
             if cached is not None:
                 self.stats.profile_cache_hits += 1
                 row_counts[index] = cached
@@ -360,7 +498,7 @@ class SearchSpace:
             else:
                 counts = [run(tree) for _, tree, _ in missed]
             for (index, _tree, key), count in zip(missed, counts):
-                self._rows_cache.put(key, count)
+                self.caches.rows.put(key, count)
                 row_counts[index] = count
             # Bulk attribution: under a shared serving catalog these counters
             # can include concurrent sessions' traffic — they are telemetry,
@@ -405,12 +543,20 @@ class SearchSpace:
         return counts
 
     def cache_info(self) -> dict:
-        """Hit/size statistics of every per-tree cache (for benches/debugging)."""
-        info = self.mapping_caches.stats()
-        info["rows"] = self._rows_cache.stats()
-        info["transformations"] = self._transformation_cache.stats()
+        """Hit/size statistics of every cache (for benches/debugging).
+
+        Hits, misses and evictions are this search's share: the bundle's
+        counters minus their values at search start.  Entries are the
+        caches' current sizes.
+        """
+        info = self.caches.stats()
+        for name, section in info.items():
+            start = self._stats_at_start[name]
+            for counter in ("hits", "misses", "evictions"):
+                section[counter] -= start[counter]
+        info["actions"] = self._actions_memo.stats()
+        info["apply"] = self._apply_memo.stats()
         info["evaluations"] = {"entries": len(self._cache)}
-        info.update(self.cost_model.cache_info())
         return info
 
     def result(
