@@ -30,9 +30,9 @@ from repro.cost.widget_costs import (
     total_widget_cost,
     widget_cost,
 )
-from repro.difftree.signatures import LruDict
 from repro.interface.interface import Interface
 from repro.interface.visualizations import Channel, ChartType
+from repro.lru import LruDict
 from repro.sql.ast_nodes import Select
 
 #: Base cost per chart; keeps the model from multiplying views without benefit.

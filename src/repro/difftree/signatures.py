@@ -32,7 +32,7 @@ hashes a key in O(1) instead of re-hashing the whole nested tree.
 from __future__ import annotations
 
 import sys
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.difftree.nodes import ChoiceNode, has_choice
 from repro.errors import SqlError
@@ -226,67 +226,3 @@ def precise_forest_signature(forest) -> tuple:
         (tuple(members), tree_signature(tree))
         for members, tree in zip(forest.members, forest.trees)
     )
-
-
-class LruDict:
-    """A minimal bounded mapping with LRU eviction (insertion-order based).
-
-    Used by the search layer's per-tree caches: signature-keyed entries are
-    recency-promoted on access and the oldest entries are evicted past
-    ``capacity``, so long searches cannot grow memory without bound.
-    """
-
-    __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity <= 0:
-            raise ValueError("LruDict capacity must be positive")
-        self.capacity = capacity
-        self._entries: dict[Hashable, Any] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        if key in self._entries:
-            value = self._entries.pop(key)
-            self._entries[key] = value  # re-insert: most recently used
-            self.hits += 1
-            return value
-        self.misses += 1
-        return default
-
-    def __getitem__(self, key: Hashable) -> Any:
-        if key not in self._entries:
-            raise KeyError(key)
-        return self.get(key)
-
-    def __setitem__(self, key: Hashable, value: Any) -> None:
-        self.put(key, value)
-
-    def put(self, key: Hashable, value: Any) -> None:
-        if key in self._entries:
-            self._entries.pop(key)
-        elif len(self._entries) >= self.capacity:
-            oldest = next(iter(self._entries))
-            self._entries.pop(oldest)
-            self.evictions += 1
-        self._entries[key] = value
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }

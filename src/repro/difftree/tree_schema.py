@@ -21,6 +21,7 @@ from typing import Sequence
 from repro.difftree.builder import DifftreeForest
 from repro.difftree.instantiate import default_bindings, instantiate
 from repro.difftree.nodes import AnyNode, ChoiceNode, OptNode, collect_choice_nodes, has_choice
+from repro.lru import LruDict
 from repro.sql.analyzer import Analyzer, QueryProfile
 from repro.sql.ast_nodes import (
     BetweenOp,
@@ -332,8 +333,6 @@ class TreeProfileCache:
     """
 
     def __init__(self, capacity: int = 1024) -> None:
-        from repro.difftree.signatures import LruDict
-
         self._by_signature = LruDict(capacity)
         self._by_id: dict[int, tuple[SqlNode, TreeProfile]] = {}
         self._id_capacity = capacity

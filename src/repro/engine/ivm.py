@@ -35,7 +35,6 @@ folder resolves to ``None`` → the caller counts a fallback and recomputes.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -45,6 +44,7 @@ from repro.engine.optimizer import MaintainableShape, maintainable_shape
 from repro.engine.plan_nodes import ProjectExec, aggregate_call_specs, hashable
 from repro.engine.planner import Planner
 from repro.engine.table import QueryResult
+from repro.lru import LruDict
 from repro.sql.ast_nodes import Select, SqlNode, Star
 from repro.sql.printer import to_sql
 
@@ -86,11 +86,14 @@ class VersionLog:
     that sequence; any missing link — truncation, a cleared log after
     register/drop/replace, or an unlogged in-place mutation — yields None,
     which callers treat as "fall back to full recompute".
+
+    Truncation is FIFO, not LRU: the oldest *recorded* append goes first, and
+    a chain walk never keeps a record alive.
     """
 
     def __init__(self, capacity: int = VERSION_LOG_CAPACITY) -> None:
         self._capacity = capacity
-        self._records: OrderedDict[tuple, AppendDelta] = OrderedDict()
+        self._records: dict[tuple, AppendDelta] = {}
         self._lock = threading.Lock()
 
     def record(self, delta: AppendDelta) -> None:
@@ -99,7 +102,7 @@ class VersionLog:
         with self._lock:
             self._records[delta.from_version] = delta
             while len(self._records) > self._capacity:
-                self._records.popitem(last=False)
+                del self._records[next(iter(self._records))]
 
     def chain(self, base: tuple, target: tuple) -> list[AppendDelta] | None:
         """The append deltas leading from ``base`` to ``target``, or None."""
@@ -131,27 +134,27 @@ class VersionLog:
 # Shape analysis (memoized by canonical SQL)
 # --------------------------------------------------------------------------- #
 
-_shape_memo: OrderedDict[str, MaintainableShape | None] = OrderedDict()
+#: Values may be None (an unmaintainable query is memoized too, so it is
+#: planned once), hence the sentinel on lookup.
+_shape_memo = LruDict(SHAPE_MEMO_CAPACITY)
 _shape_lock = threading.Lock()
+_UNSEEN = object()
 
 
 def analyze(node: SqlNode, canonical: str) -> MaintainableShape | None:
     """The maintainable shape of a query, or None — memoized by canonical SQL."""
     with _shape_lock:
-        if canonical in _shape_memo:
-            _shape_memo.move_to_end(canonical)
-            return _shape_memo[canonical]
-    shape: MaintainableShape | None = None
+        shape = _shape_memo.get(canonical, _UNSEEN)
+    if shape is not _UNSEEN:
+        return shape
+    shape = None
     if isinstance(node, Select):
         try:
             shape, _ = maintainable_shape(Planner().plan(node))
         except Exception:  # noqa: BLE001 - unplannable means unmaintainable
             shape = None
     with _shape_lock:
-        _shape_memo[canonical] = shape
-        _shape_memo.move_to_end(canonical)
-        while len(_shape_memo) > SHAPE_MEMO_CAPACITY:
-            _shape_memo.popitem(last=False)
+        _shape_memo.put(canonical, shape)
     return shape
 
 

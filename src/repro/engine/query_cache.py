@@ -20,11 +20,11 @@ on values outside the SQL text).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.engine.table import QueryResult
+from repro.lru import LruDict
 from repro.sql.ast_nodes import Parameter, SqlNode
 from repro.sql.printer import to_sql
 
@@ -163,8 +163,8 @@ class QueryCache:
     One internal lock serializes every probe/store/stat mutation so the cache
     can be shared by the serving layer's worker pool: concurrent readers at
     different catalog snapshots hit disjoint keys (the key embeds the data
-    version), and the lock only guards the OrderedDict bookkeeping — the
-    defensive result copies happen outside it.
+    version), and the lock only guards the LRU bookkeeping — the defensive
+    result copies happen outside it.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -172,12 +172,12 @@ class QueryCache:
             raise ValueError("QueryCache capacity must be positive")
         self.capacity = capacity
         self.stats = QueryCacheStats()
-        self._entries: OrderedDict[str, QueryResult] = OrderedDict()
+        self._entries = LruDict(capacity)
         # Delta folders for maintainable queries, keyed by *canonical SQL*
         # (no data version — a folder survives version bumps; that is its
         # whole point).  A separate LRU map, same capacity: evicting a result
         # entry must not destroy the folder state that can rebuild it.
-        self._folders: OrderedDict[str, Any] = OrderedDict()
+        self._folders = LruDict(capacity)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -199,7 +199,6 @@ class QueryCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            self._entries.move_to_end(key)
             self.stats.hits += 1
         return self._copy(entry)
 
@@ -207,12 +206,9 @@ class QueryCache:
         """Cache a result under ``key``, evicting the LRU entry when full."""
         copied = self._copy(result)
         with self._lock:
-            self._entries[key] = copied
-            self._entries.move_to_end(key)
-            self.stats.stores += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            if self._entries.put(key, copied) is not None:
                 self.stats.evictions += 1
+            self.stats.stores += 1
 
     def note_bypass(self) -> None:
         """Record an execution that skipped the cache (uncacheable query)."""
@@ -226,18 +222,12 @@ class QueryCache:
     def folder(self, canonical: str) -> Any | None:
         """The delta folder registered for a canonical query, or None."""
         with self._lock:
-            entry = self._folders.get(canonical)
-            if entry is not None:
-                self._folders.move_to_end(canonical)
-            return entry
+            return self._folders.get(canonical)
 
     def store_folder(self, canonical: str, folder: Any) -> None:
         """Register (or replace) the delta folder for a canonical query."""
         with self._lock:
-            self._folders[canonical] = folder
-            self._folders.move_to_end(canonical)
-            while len(self._folders) > self.capacity:
-                self._folders.popitem(last=False)
+            self._folders.put(canonical, folder)
 
     def drop_folder(self, canonical: str, folder: Any) -> None:
         """Remove a folder, but only if it is still the registered one."""

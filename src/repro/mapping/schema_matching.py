@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.difftree.builder import DifftreeForest
 from repro.difftree.signatures import (
-    LruDict,
     intern_signature,
     structural_signature,
     tree_signature,
@@ -39,6 +38,7 @@ from repro.difftree.tree_schema import (
 )
 from repro.interface.interface import Interface
 from repro.interface.layout import MEDIUM_SCREEN, ScreenSize
+from repro.lru import LruDict
 from repro.mapping.interaction_mapping import (
     InteractionMapper,
     MappingPolicy,

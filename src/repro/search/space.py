@@ -47,7 +47,6 @@ from repro.cost.model import (
 from repro.difftree.builder import DifftreeForest, build_forest
 from repro.difftree.canonical import queries_share_source, structural_similarity
 from repro.difftree.signatures import (
-    LruDict,
     precise_forest_signature,
     structural_signature,
     tree_signature,
@@ -55,6 +54,7 @@ from repro.difftree.signatures import (
 from repro.difftree.transformations import applicable_transformations
 from repro.errors import SearchError
 from repro.interface.interface import Interface
+from repro.lru import LruDict
 from repro.mapping.schema_matching import MappingCaches, MappingConfig, map_forest_to_interface
 from repro.sql.schema import TableSchema
 

@@ -121,11 +121,34 @@ class LoadReport:
         return summary
 
 
-class LoadGenerator:
-    """Drives an :class:`InterfaceService` with a reproducible mixed workload.
+def _op_result(client: int, kind: str, started: float, exc: Exception | None = None) -> OpResult:
+    """Classify one finished op: ok, backpressured, or a typed failure.
+
+    Backpressure (:class:`AdmissionError`) is an expected outcome under
+    storm load, not a failure: it is recorded as ok-with-error.
+    """
+    seconds = time.perf_counter() - started
+    if exc is None:
+        return OpResult(client, kind, seconds, ok=True)
+    error_type = type(exc).__name__
+    if isinstance(exc, AdmissionError):
+        return OpResult(
+            client, kind, seconds, ok=True, error=f"admission: {exc}", error_type=error_type
+        )
+    return OpResult(
+        client, kind, seconds, ok=False, error=f"{error_type}: {exc}", error_type=error_type
+    )
+
+
+def _session_failure(client: int, exc: Exception) -> OpResult:
+    """A client whose session never opened, recorded as a failed op."""
+    return OpResult(client, "session", 0.0, ok=False, error=str(exc), error_type=type(exc).__name__)
+
+
+class _Workload:
+    """What every load generator draws its operations from.
 
     Args:
-        service: The service under load.
         read_queries: SQL strings read ops sample from.
         generate_logs: Query-log variants generate ops sample from (kept
             small — generation is the heavyweight op class).
@@ -139,7 +162,6 @@ class LoadGenerator:
 
     def __init__(
         self,
-        service: InterfaceService,
         read_queries: Sequence[str],
         generate_logs: Sequence[Sequence[str]],
         write_table: str,
@@ -148,7 +170,6 @@ class LoadGenerator:
         generation_config: PipelineConfig | None = None,
         seed: int = 0,
     ) -> None:
-        self.service = service
         self.read_queries = list(read_queries)
         self.generate_logs = [list(log) for log in generate_logs]
         self.write_table = write_table
@@ -158,6 +179,18 @@ class LoadGenerator:
             method="greedy", greedy_max_steps=4
         )
         self.seed = seed
+
+
+class LoadGenerator(_Workload):
+    """Drives an :class:`InterfaceService` with a reproducible mixed workload.
+
+    ``service`` is the service under load; the remaining arguments are
+    :class:`_Workload`'s.
+    """
+
+    def __init__(self, service: InterfaceService, *workload, **options) -> None:
+        super().__init__(*workload, **options)
+        self.service = service
 
     def run(self, clients: int, ops_per_client: int) -> LoadReport:
         """Run the storm: one session per client, barrier-synchronized start."""
@@ -173,16 +206,7 @@ class LoadGenerator:
             except Exception as exc:  # noqa: BLE001 - break the barrier, don't hang it
                 barrier.abort()
                 with results_lock:
-                    report.ops.append(
-                        OpResult(
-                            client,
-                            "session",
-                            0.0,
-                            ok=False,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                        )
-                    )
+                    report.ops.append(_session_failure(client, exc))
                 return
             try:
                 barrier.wait()
@@ -202,33 +226,10 @@ class LoadGenerator:
                     started = time.perf_counter()
                     try:
                         self._one_op(kind, client, sequence, session, rng)
-                        local.append(
-                            OpResult(client, kind, time.perf_counter() - started, ok=True)
-                        )
-                    except AdmissionError as exc:
-                        # Backpressure is an expected outcome under storm
-                        # load, not a failure: record and keep going.
-                        local.append(
-                            OpResult(
-                                client,
-                                kind,
-                                time.perf_counter() - started,
-                                ok=True,
-                                error=f"admission: {exc}",
-                                error_type=type(exc).__name__,
-                            )
-                        )
                     except Exception as exc:  # noqa: BLE001 - report, don't die
-                        local.append(
-                            OpResult(
-                                client,
-                                kind,
-                                time.perf_counter() - started,
-                                ok=False,
-                                error=f"{type(exc).__name__}: {exc}",
-                                error_type=type(exc).__name__,
-                            )
-                        )
+                        local.append(_op_result(client, kind, started, exc))
+                    else:
+                        local.append(_op_result(client, kind, started))
             finally:
                 self.service.close_session(session.session_id)
             with results_lock:
@@ -260,7 +261,7 @@ class LoadGenerator:
             self.service.generate(session.session_id, log, self.generation_config)
 
 
-class AsyncLoadGenerator:
+class AsyncLoadGenerator(_Workload):
     """Drives an :class:`AsyncInterfaceService` with N simulated users.
 
     Where :class:`LoadGenerator` spends one OS thread per client (and tops
@@ -271,32 +272,14 @@ class AsyncLoadGenerator:
     its stable hash) and draws its operation sequence from ``seed + i``, so
     a run is reproducible the same way the threaded generator is.
 
-    Failed session opens and backpressure (:class:`AdmissionError`) are
-    recorded the same way as in :class:`LoadGenerator`: rejected sessions as
-    failed ``"session"`` ops, backpressured ops as ok-with-error.
+    ``frontend`` is the service under load; the remaining arguments are
+    :class:`_Workload`'s.  Outcomes are recorded exactly as in
+    :class:`LoadGenerator`.
     """
 
-    def __init__(
-        self,
-        frontend,
-        read_queries: Sequence[str],
-        generate_logs: Sequence[Sequence[str]],
-        write_table: str,
-        write_row: Callable[[int, int], Sequence[object]],
-        mix: WorkloadMix | None = None,
-        generation_config: PipelineConfig | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, frontend, *workload, **options) -> None:
+        super().__init__(*workload, **options)
         self.frontend = frontend
-        self.read_queries = list(read_queries)
-        self.generate_logs = [list(log) for log in generate_logs]
-        self.write_table = write_table
-        self.write_row = write_row
-        self.mix = mix or WorkloadMix()
-        self.generation_config = generation_config or PipelineConfig(
-            method="greedy", greedy_max_steps=4
-        )
-        self.seed = seed
 
     async def run(self, users: int, ops_per_user: int) -> LoadReport:
         """Run the storm: sessions open first (a soft barrier), then all ops."""
@@ -307,16 +290,7 @@ class AsyncLoadGenerator:
             try:
                 handles[user] = await self.frontend.open_session(f"tenant-{user}")
             except Exception as exc:  # noqa: BLE001 - record, don't sink the storm
-                report.ops.append(
-                    OpResult(
-                        user,
-                        "session",
-                        0.0,
-                        ok=False,
-                        error=str(exc),
-                        error_type=type(exc).__name__,
-                    )
-                )
+                report.ops.append(_session_failure(user, exc))
 
         started = time.perf_counter()
         await asyncio.gather(*(open_one(user) for user in range(users)))
@@ -333,31 +307,10 @@ class AsyncLoadGenerator:
                     op_started = time.perf_counter()
                     try:
                         await self._one_op(kind, user, sequence, handle, rng)
-                        local.append(
-                            OpResult(user, kind, time.perf_counter() - op_started, ok=True)
-                        )
-                    except AdmissionError as exc:
-                        local.append(
-                            OpResult(
-                                user,
-                                kind,
-                                time.perf_counter() - op_started,
-                                ok=True,
-                                error=f"admission: {exc}",
-                                error_type=type(exc).__name__,
-                            )
-                        )
                     except Exception as exc:  # noqa: BLE001 - report, don't die
-                        local.append(
-                            OpResult(
-                                user,
-                                kind,
-                                time.perf_counter() - op_started,
-                                ok=False,
-                                error=f"{type(exc).__name__}: {exc}",
-                                error_type=type(exc).__name__,
-                            )
-                        )
+                        local.append(_op_result(user, kind, op_started, exc))
+                    else:
+                        local.append(_op_result(user, kind, op_started))
             finally:
                 try:
                     await self.frontend.close_session(handle)

@@ -56,7 +56,7 @@ import random
 import threading
 import time
 import zlib
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -66,6 +66,7 @@ from repro.engine.catalog import CatalogSnapshot, DetachedParser
 from repro.engine.options import ExecOptions, check_options
 from repro.engine.query_cache import QueryCache
 from repro.errors import DeadlineExceededError, QueryTimeoutError, WorkerError
+from repro.lru import LruDict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.faults import FaultInjector
@@ -163,17 +164,13 @@ class _WorkerState:
     """
 
     def __init__(self, capacity: int = SNAPSHOT_CACHE_CAPACITY) -> None:
-        self.capacity = capacity
-        self.snapshots: OrderedDict[tuple, CatalogSnapshot] = OrderedDict()
+        self.snapshots = LruDict(capacity)
         self.query_cache = QueryCache(capacity=512)
         self.parse = DetachedParser()
         self.plan_caches: dict[tuple, dict] = {}
 
     def lookup(self, key: tuple) -> CatalogSnapshot | None:
-        snapshot = self.snapshots.get(key)
-        if snapshot is not None:
-            self.snapshots.move_to_end(key)
-        return snapshot
+        return self.snapshots.get(key)
 
     def admit(self, key: tuple, payload: bytes) -> CatalogSnapshot:
         snapshot: CatalogSnapshot = pickle.loads(payload)
@@ -183,19 +180,16 @@ class _WorkerState:
             query_cache=self.query_cache,
             parse=self.parse,
         )
-        self.snapshots[key] = snapshot
-        self.snapshots.move_to_end(key)
-        while len(self.snapshots) > self.capacity:
-            evicted_key, _ = self.snapshots.popitem(last=False)
-            self._drop_unreferenced_plan_cache(evicted_key)
+        if self.snapshots.put(key, snapshot) is not None:
+            self._drop_unreferenced_plan_cache()
         return snapshot
 
-    def _drop_unreferenced_plan_cache(self, evicted_key: tuple) -> None:
+    def _drop_unreferenced_plan_cache(self) -> None:
         live = {(key[0], snap.schema_version()) for key, snap in self.snapshots.items()}
         self.plan_caches = {k: v for k, v in self.plan_caches.items() if k in live}
 
     def cached_keys(self) -> list[tuple]:
-        return list(self.snapshots.keys())
+        return list(self.snapshots)
 
 
 def _worker_main(conn, snapshot_cache_capacity: int) -> None:
@@ -455,12 +449,12 @@ class _WorkerHandle:
         self.index = index
         self.process = process
         self.conn = conn
-        self.capacity = capacity
         #: Mirror of the worker's snapshot LRU (same capacity, same update
         #: rule), letting the parent predict whether a payload must ship.
         #: Best-effort: on drift the worker answers ``need_snapshot`` and the
-        #: parent re-sends with the payload.
-        self.shipped: OrderedDict[tuple, None] = OrderedDict()
+        #: parent re-sends with the payload.  Written only by this worker's
+        #: dispatcher thread; placement reads it unlocked.
+        self.shipped = LruDict(capacity)
         #: Serializes pipe use between the dispatcher thread and debug calls.
         self.io_lock = threading.Lock()
         #: This worker's private task queue plus an in-flight flag; both are
@@ -474,14 +468,10 @@ class _WorkerHandle:
         return len(self.queue) + (1 if self.busy else 0)
 
     def note_shipped(self, key: tuple) -> None:
-        self.shipped[key] = None
-        self.shipped.move_to_end(key)
-        while len(self.shipped) > self.capacity:
-            self.shipped.popitem(last=False)
+        self.shipped.put(key, None)
 
     def note_used(self, key: tuple) -> None:
-        if key in self.shipped:
-            self.shipped.move_to_end(key)
+        self.shipped.get(key)  # promotes the key if the worker holds it
 
 
 class ProcessExecutionTier:
@@ -537,7 +527,7 @@ class ProcessExecutionTier:
         self._task_ids = iter(range(1, 2**62))
         self._closed = False
         self._lock = threading.Lock()
-        self._payloads: OrderedDict[tuple, tuple[bytes, int]] = OrderedDict()
+        self._payloads = LruDict(PAYLOAD_MEMO_CAPACITY)
         self.retry_policy = retry_policy
         self._retry_rng = random.Random(retry_policy.seed if retry_policy else 0)
         self.breaker = breaker
@@ -716,15 +706,11 @@ class ProcessExecutionTier:
         with self._lock:
             payload = self._payloads.get(task.key)
             if payload is not None:
-                self._payloads.move_to_end(task.key)
                 return payload
         data = pickle.dumps(task.snapshot, protocol=pickle.HIGHEST_PROTOCOL)
         payload = (data, zlib.crc32(data))
         with self._lock:
-            self._payloads[task.key] = payload
-            self._payloads.move_to_end(task.key)
-            while len(self._payloads) > PAYLOAD_MEMO_CAPACITY:
-                self._payloads.popitem(last=False)
+            self._payloads.put(task.key, payload)
         return payload
 
     def _next_task(self, index: int) -> _Task | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.catalog import Catalog
+from repro.engine import ivm
 from repro.engine.ivm import AppendDelta, VersionLog, analyze
 from repro.engine.options import ExecOptions
 from repro.engine.query_cache import canonical_text
@@ -330,6 +331,44 @@ class TestShapeAnalysis:
         assert "(no rewrites applied)" in report
 
 
+class TestShapeMemo:
+    """``analyze`` memoizes per canonical SQL in a process-wide bounded LRU."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        ivm._shape_memo.clear()
+        yield
+        ivm._shape_memo.clear()
+
+    def test_memo_is_bounded_and_evicts_least_recently_used(self):
+        node = parse("SELECT 1 AS one")
+        capacity = ivm.SHAPE_MEMO_CAPACITY
+        for i in range(capacity):
+            analyze(node, f"q{i}")
+        analyze(node, "q0")  # q0 becomes most recent; q1 is now the oldest
+        analyze(node, "extra")
+        assert len(ivm._shape_memo) == capacity
+        assert "q0" in ivm._shape_memo and "extra" in ivm._shape_memo
+        assert "q1" not in ivm._shape_memo
+
+    def test_unmaintainable_query_is_planned_once(self, monkeypatch):
+        from repro.engine.planner import Planner
+
+        calls = []
+        plan = Planner.plan
+
+        def counting_plan(self, *args, **kwargs):
+            calls.append(1)
+            return plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(Planner, "plan", counting_plan)
+        node = parse("SELECT kind FROM events ORDER BY kind")
+        canonical = canonical_text(node)
+        assert analyze(node, canonical) is None
+        assert analyze(node, canonical) is None
+        assert len(calls) == 1
+
+
 class TestVersionLogUnit:
     @staticmethod
     def _delta(i: int) -> AppendDelta:
@@ -359,6 +398,11 @@ class TestVersionLogUnit:
         assert len(log) == 2
         assert log.chain((0,), (4,)) is None
         assert log.chain((2,), (4,)) is not None
+        # Truncation is FIFO: walking the oldest record does not save it.
+        assert log.chain((2,), (3,)) is not None
+        log.record(self._delta(4))
+        assert log.chain((2,), (3,)) is None
+        assert log.chain((3,), (5,)) is not None
 
     def test_self_loop_is_never_recorded(self):
         log = VersionLog()

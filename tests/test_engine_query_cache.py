@@ -195,6 +195,18 @@ class TestQueryCacheUnit:
         cache.clear()
         assert cache.stats.cleared == 2  # cumulative across clears
 
+    def test_folder_map_is_bounded_and_evicts_least_recently_used(self):
+        cache = QueryCache(capacity=2)
+        folders = {name: object() for name in ("a", "b", "c")}
+        cache.store_folder("a", folders["a"])
+        cache.store_folder("b", folders["b"])
+        assert cache.folder("a") is folders["a"]  # a becomes most recent
+        cache.store_folder("c", folders["c"])  # evicts b
+        assert cache.snapshot()["folders"] == 2
+        assert cache.folder("b") is None
+        assert cache.folder("a") is folders["a"]
+        assert cache.folder("c") is folders["c"]
+
     def test_clear_drops_folders(self):
         cache = QueryCache()
         cache.store_folder("SELECT 1", object())

@@ -168,6 +168,26 @@ class TestWorkerSnapshotCache:
             assert (new.catalog_id, new.data_version()) in cached
 
 
+    def test_payload_memo_stays_within_its_capacity(self):
+        from repro.engine.catalog import Catalog
+        from repro.serving.workers import PAYLOAD_MEMO_CAPACITY
+
+        catalog = Catalog()
+        catalog.create_table("t", ["a"], [[0]])
+        keys = []
+        with ProcessExecutionTier(processes=1, snapshot_cache_capacity=1) as tier:
+            for i in range(PAYLOAD_MEMO_CAPACITY + 3):
+                catalog.append_rows("t", [[i + 1]])
+                snapshot = catalog.snapshot()
+                keys.append((snapshot.catalog_id, snapshot.data_version()))
+                result = tier.submit_execute(snapshot, "SELECT count(*) FROM t").result(timeout=120)
+                assert result.rows == [(i + 2,)]
+                assert len(tier._payloads) <= PAYLOAD_MEMO_CAPACITY
+            assert len(tier._payloads) == PAYLOAD_MEMO_CAPACITY
+            assert keys[-1] in tier._payloads
+            assert keys[0] not in tier._payloads
+
+
 class TestProcessDeterminism:
     def test_eight_process_sessions_match_serial_fingerprint(self):
         queries = covid_query_log()[:4]
